@@ -1,6 +1,6 @@
 """Figure 6 (and 9) — ADCEnum vs SearchMC enumeration runtimes.
 
-Builds the evidence set once per dataset (f1, ε=0.1 as in the paper) and
+Builds the evidence set once per dataset (f1, ε=``eps``, default 0.005) and
 times both enumeration algorithms on identical input. ``--samples`` mode
 repeats across sample fractions (the paper's Figure 9).
 """

@@ -10,11 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from .predicates import Op, Predicate
+from .evidence import _pairs, _Side
+from .predicates import Op, Predicate, pair_grid
 
 _SQL_OP = {Op.EQ: "=", Op.NE: "<>", Op.LT: "<", Op.LE: "<=", Op.GT: ">", Op.GE: ">="}
 
@@ -55,20 +57,14 @@ class DenialConstraint:
     def violation_condition(self, left: str = "l", right: str = "r") -> Column:
         """Spark Column: the pair (aliased ``left``/``right``) violates the DC
         (satisfies every predicate)."""
-        cols = []
-        for p in self.sorted_predicates():
-            rhs_alias = left if p.single_tuple else right
-            a, b = F.col(f"{left}.{p.lhs}"), F.col(f"{rhs_alias}.{p.rhs}")
-            cols.append(
-                {
-                    Op.EQ: a == b, Op.NE: a != b, Op.LT: a < b,
-                    Op.LE: a <= b, Op.GT: a > b, Op.GE: a >= b,
-                }[p.op]
-            )
-        return reduce(Column.__and__, cols)
+        t, s = _Side(left), _Side(right)
+        return reduce(Column.__and__, [p.eval(t, s) for p in self.sorted_predicates()])
 
     def violation_sql(self, left: str = "t1", right: str = "t2") -> str:
-        """SQL conjunction for the DuckDB oracle (same pair semantics)."""
+        """SQL conjunction for the DuckDB oracle (same pair semantics).
+
+        Written independently of :meth:`Predicate.eval` on purpose: the
+        oracle must not share the evaluator it checks."""
         terms = []
         for p in self.sorted_predicates():
             rhs_alias = left if p.single_tuple else right
@@ -77,33 +73,24 @@ class DenialConstraint:
 
     def violating_pairs_pandas(self, pdf: pd.DataFrame) -> int:
         """Reference count of violating ordered pairs (O(n²), tests only)."""
-        import numpy as np
-
-        from .predicates import PY_OP
-
         n = len(pdf)
-        cols = {c: pdf[c].to_numpy() for c in pdf.columns}
+        t, s = pair_grid(pdf)
         viol = np.ones((n, n), dtype=bool)
         for p in self.predicates:
-            lv = cols[p.lhs][:, None]
-            # single-tuple predicates read both sides from the pair's first
-            # tuple (the row index), so they broadcast along columns
-            rv = cols[p.rhs][:, None] if p.single_tuple else cols[p.rhs][None, :]
-            viol &= PY_OP[p.op](lv, rv)
+            viol &= p.eval(t, s)
         np.fill_diagonal(viol, False)
         return int(viol.sum())
 
 
-def violating_pairs_df(df: DataFrame, dc: DenialConstraint, rid: str = "__rid") -> DataFrame:
+def violating_pairs_df(df: DataFrame, dc: DenialConstraint) -> DataFrame:
     """One-row DataFrame ``[n_violations]`` — violating ordered pairs of
-    ``dc`` in ``df``, computed as a Catalyst cross-join scan.
+    ``dc`` in ``df``, computed as a Catalyst cross-join scan over the
+    ``__rid`` column.
 
     This is the direct (evidence-free) violation counter; tests cross-check
     it against both the evidence-set route and the DuckDB oracle.
     """
-    left, right = df.alias("l"), df.alias("r")
-    pairs = left.join(right, on=F.col(f"l.{rid}") != F.col(f"r.{rid}"), how="inner")
     return (
-        pairs.where(dc.violation_condition("l", "r"))
+        _pairs(df).where(dc.violation_condition("l", "r"))
         .agg(F.count(F.lit(1)).alias("n_violations"))
     )

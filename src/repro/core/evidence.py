@@ -33,7 +33,7 @@ from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from .predicates import Op, Predicate, PredicateSpace
+from .predicates import PredicateSpace, pair_grid
 
 RID = "__rid"
 
@@ -87,21 +87,26 @@ def with_rid(df: DataFrame) -> DataFrame:
     return df.withColumn(RID, F.row_number().over(w) - F.lit(1))
 
 
-def _pred_column(p: Predicate, left: str, right: str) -> Column:
-    rhs_alias = left if p.single_tuple else right
-    a, b = F.col(f"{left}.{p.lhs}"), F.col(f"{rhs_alias}.{p.rhs}")
-    return {
-        Op.EQ: a == b, Op.NE: a != b, Op.LT: a < b,
-        Op.LE: a <= b, Op.GT: a > b, Op.GE: a >= b,
-    }[p.op]
+class _Side:
+    """One side of the pair self-join as the ``name → Column`` mapping
+    :meth:`Predicate.eval` reads: ``_Side("l")["A"]`` is ``F.col("l.A")``."""
+
+    __slots__ = ("alias",)
+
+    def __init__(self, alias: str):
+        self.alias = alias
+
+    def __getitem__(self, name: str) -> Column:
+        return F.col(f"{self.alias}.{name}")
 
 
 def _word_columns(space: PredicateSpace) -> list[Column]:
     """Pack the space's boolean predicate columns into int64 words."""
+    t, s = _Side("l"), _Side("r")
     words: list[Column] = []
     for w in range(space.n_words):
         bits = [
-            F.shiftleft(_pred_column(p, "l", "r").cast("long"), k)
+            F.shiftleft(p.eval(t, s).cast("long"), k)
             for k, p in enumerate(space.predicates[w * 64 : (w + 1) * 64])
         ]
         words.append(reduce(Column.bitwiseOR, bits).alias(f"w{w}"))
@@ -189,7 +194,7 @@ def build_evidence_naive(
         s = dict(zip(attrs, rrow))
         m = 0
         for i, p in enumerate(preds):
-            if p.eval_pair(t, s):
+            if p.eval(t, s):
                 m |= 1 << i
         return format(m, "x")
 
@@ -211,17 +216,13 @@ def build_evidence_local(
     pdf: pd.DataFrame, space: PredicateSpace, *, with_vios: bool = False
 ) -> EvidenceSet:
     """Numpy reference builder over a pandas frame (tests / micro-instances)."""
-    from .predicates import PY_OP
-
     work = pdf.drop(columns=[RID], errors="ignore").reset_index(drop=True)
     n = len(work)
-    cols = {c: work[c].to_numpy() for c in work.columns}
+    t, s = pair_grid(work)
     # bit-pack predicate truth over the full n×n pair grid into uint64 words
     words = [np.zeros((n, n), dtype=np.uint64) for _ in range(space.n_words)]
     for k, p in enumerate(space.predicates):
-        lv = cols[p.lhs][:, None]
-        rv = cols[p.rhs][:, None] if p.single_tuple else cols[p.rhs][None, :]
-        sat = np.asarray(PY_OP[p.op](lv, rv), dtype=bool)
+        sat = np.asarray(p.eval(t, s), dtype=bool)
         words[k // 64] |= sat.astype(np.uint64) << np.uint64(k % 64)
     bag: dict[int, int] = {}
     vios: dict[int, dict[int, int]] = {}

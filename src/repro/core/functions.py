@@ -27,7 +27,13 @@ _TOL = 1e-12
 
 
 class ApproximationFunction:
-    """Interface taken as *input* by ADCMiner/ADCEnum (paper contribution)."""
+    """Interface taken as *input* by ADCMiner/ADCEnum (paper contribution).
+
+    ``uncovered`` must be re-iterable (a list, a range or an
+    :class:`UncoveredView`): the Prop. 5.3 prefilter and the score may both
+    walk it, and copying it into a list would discard the precomputed
+    ``UncoveredView.weight``.
+    """
 
     name: str = "abstract"
     #: whether scoring needs the per-tuple ``vios`` structure (f2, f3)
@@ -110,7 +116,6 @@ class F2(ApproximationFunction):
         return 1.0 - len(bad) / ev.n_tuples
 
     def passes(self, ev: EvidenceSet, uncovered: Iterable[int], eps: float) -> bool:
-        uncovered = list(uncovered)
         if one_minus_f1(ev, uncovered) > 2 * eps + _TOL:  # Prop. 5.3
             return False
         return super().passes(ev, uncovered, eps)
@@ -129,7 +134,6 @@ class F3Greedy(ApproximationFunction):
 
     def removal_set(self, ev: EvidenceSet, uncovered: Iterable[int]) -> list[int]:
         vios = _require_vios(ev)
-        uncovered = list(uncovered)
         u = _uncovered_weight(ev, uncovered)  # total violations to cover
         if u == 0:
             return []
@@ -152,7 +156,6 @@ class F3Greedy(ApproximationFunction):
         return 1.0 - len(self.removal_set(ev, uncovered)) / ev.n_tuples
 
     def passes(self, ev: EvidenceSet, uncovered: Iterable[int], eps: float) -> bool:
-        uncovered = list(uncovered)
         if one_minus_f1(ev, uncovered) > 2 * eps + _TOL:  # Prop. 5.3
             return False
         return super().passes(ev, uncovered, eps)

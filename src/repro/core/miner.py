@@ -33,6 +33,10 @@ from .functions import ApproximationFunction
 from .predicates import PredicateSpace, build_predicate_space
 from .searchmc import search_mc
 
+#: Rows read to build the predicate space when none is given (the 30%
+#: overlap rule of :func:`build_predicate_space` needs only a sample).
+_SPACE_SAMPLE_ROWS = 2000
+
 
 @dataclass
 class MinerResult:
@@ -58,10 +62,8 @@ def adc_miner(
     sample_fraction: float | None = None,
     seed: int = 0,
     space: PredicateSpace | None = None,
-    space_sample_rows: int = 2000,
     builder: str = "fast",
     enumerator: str = "adcenum",
-    choose: str = "max",
     alpha: float | None = None,
     max_results: int | None = None,
     timeout_s: float | None = None,
@@ -78,7 +80,7 @@ def adc_miner(
 
     t0 = time.perf_counter()
     if space is None:
-        head = df.limit(space_sample_rows).toPandas()
+        head = df.limit(_SPACE_SAMPLE_ROWS).toPandas()
         space = build_predicate_space(head)
     timings["predicate_space"] = time.perf_counter() - t0
 
@@ -103,10 +105,7 @@ def adc_miner(
 
     t0 = time.perf_counter()
     enum = adc_enum if enumerator == "adcenum" else search_mc
-    kw = dict(max_results=max_results, timeout_s=timeout_s)
-    if enumerator == "adcenum":
-        kw["choose"] = choose
-    hitting_sets, stats = enum(ev, eff_f, eps, **kw)
+    hitting_sets, stats = enum(ev, eff_f, eps, max_results=max_results, timeout_s=timeout_s)
     dcs = hitting_sets_to_dcs(ev, hitting_sets)
     timings["enumeration"] = time.perf_counter() - t0
     timings["total"] = sum(timings.values())
@@ -122,38 +121,20 @@ def adc_miner(
     )
 
 
-def adc_miner_local(
-    pdf: pd.DataFrame,
-    f: ApproximationFunction,
-    eps: float,
-    *,
-    space: PredicateSpace | None = None,
-    **enum_kw,
-) -> MinerResult:
-    """Driver-only variant over pandas (tests and micro-experiments)."""
-    t0 = time.perf_counter()
-    if space is None:
-        space = build_predicate_space(pdf)
-    t_space = time.perf_counter() - t0
-    t0 = time.perf_counter()
+def adc_miner_local(pdf: pd.DataFrame, f: ApproximationFunction, eps: float) -> MinerResult:
+    """Driver-only run over pandas, without Spark.
+
+    Kept only because the benchmark's own tests (``adcbench/``) mine their
+    smoke inputs with it; the pipeline is :func:`adc_miner`.
+    """
+    space = build_predicate_space(pdf)
     ev = build_evidence_local(pdf, space, with_vios=f.needs_vios)
-    t_ev = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    hitting_sets, stats = adc_enum(ev, f, eps, **enum_kw)
-    dcs = hitting_sets_to_dcs(ev, hitting_sets)
-    t_enum = time.perf_counter() - t0
+    hitting_sets, stats = adc_enum(ev, f, eps)
     return MinerResult(
-        dcs=dcs,
+        dcs=hitting_sets_to_dcs(ev, hitting_sets),
         hitting_sets=hitting_sets,
         space=space,
         evidence=ev,
         enum_stats=stats,
-        timings={
-            "predicate_space": t_space,
-            "sampling": 0.0,
-            "evidence": t_ev,
-            "enumeration": t_enum,
-            "total": t_space + t_ev + t_enum,
-        },
         n_sampled=len(pdf),
     )

@@ -44,7 +44,8 @@ COMPLEMENT: dict[Op, Op] = {
     Op.LE: Op.GT,
 }
 
-#: Python-level evaluator per operator (vectorizes over numpy arrays).
+#: Evaluator per operator; Python's comparison operators work on scalars,
+#: numpy arrays and Spark ``Column``s alike (see :meth:`Predicate.eval`).
 PY_OP: dict[Op, Callable] = {
     Op.EQ: operator.eq,
     Op.NE: operator.ne,
@@ -85,16 +86,18 @@ class Predicate:
     def complement(self) -> "Predicate":
         return Predicate(self.lhs, COMPLEMENT[self.op], self.rhs, self.single_tuple)
 
-    def eval_pair(self, row_t: dict, row_s: dict) -> bool:
-        """Evaluate on an ordered tuple pair given as attribute dicts."""
-        right = row_t if self.single_tuple else row_s
-        return bool(PY_OP[self.op](row_t[self.lhs], right[self.rhs]))
+    def eval(self, t, s):
+        """``Sat`` of this predicate on the ordered pair ``(t, s)``.
 
-    def eval_block(self, cols_t: dict[str, np.ndarray], cols_s: dict[str, np.ndarray]) -> np.ndarray:
-        """Vectorized evaluation: ``cols_t`` indexed by pair-left rows and
-        ``cols_s`` by pair-right rows (broadcastable shapes)."""
-        right = cols_t if self.single_tuple else cols_s
-        return PY_OP[self.op](cols_t[self.lhs], right[self.rhs])
+        ``t`` and ``s`` are indexed by attribute name and give scalars, numpy
+        arrays shaped to broadcast over a pair grid (:func:`pair_grid`), or
+        Spark ``Column``s; the result is of the same kind. A single-tuple
+        predicate reads both sides from ``t``. This is the one place that
+        knows the operator table; every builder and violation counter
+        evaluates through it.
+        """
+        right = t if self.single_tuple else s
+        return PY_OP[self.op](t[self.lhs], right[self.rhs])
 
     def __str__(self) -> str:
         rside = "t" if self.single_tuple else "t'"
@@ -142,17 +145,14 @@ class PredicateSpace:
         """Number of 64-bit words needed for an evidence bitmask."""
         return max(1, (len(self.predicates) + 63) // 64)
 
-    def sat_mask(self, row_t: dict, row_s: dict) -> int:
-        """Bitmask of predicates satisfied by the ordered pair (reference
-        implementation; the builders in ``evidence.py`` vectorize this)."""
-        m = 0
-        for i, p in enumerate(self.predicates):
-            if p.eval_pair(row_t, row_s):
-                m |= 1 << i
-        return m
 
-    def describe_mask(self, mask: int) -> list[str]:
-        return [str(p) for i, p in enumerate(self.predicates) if mask >> i & 1]
+def pair_grid(pdf: pd.DataFrame) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The ``(t, s)`` arguments of :meth:`Predicate.eval` over all ordered
+    pairs of ``pdf``: column arrays shaped ``(n, 1)`` for the first tuple
+    and ``(1, n)`` for the second, so every result broadcasts to ``(n, n)``
+    with cell ``[i, j]`` holding the pair ``(row i, row j)``."""
+    cols = {c: pdf[c].to_numpy() for c in pdf.columns}
+    return {c: v[:, None] for c, v in cols.items()}, {c: v[None, :] for c, v in cols.items()}
 
 
 def is_numeric_dtype(s: pd.Series) -> bool:

@@ -50,5 +50,5 @@ class F1Prime(ApproximationFunction):
         return max(0.0, (1.0 - phat) - hw)
 
     def passes(self, ev: EvidenceSet, uncovered: Iterable[int], eps: float) -> bool:
-        phat = one_minus_f1(ev, list(uncovered))
+        phat = one_minus_f1(ev, uncovered)
         return accept_on_sample(eps, phat, ev.total_pairs, self.alpha)

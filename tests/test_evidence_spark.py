@@ -150,21 +150,31 @@ class TestOracleViolationCounts:
             ("stock", DenialConstraint.of(P("ticker", Op.EQ, "ticker"), P("volume", Op.GT, "volume"))),
             ("voter", DenialConstraint.of(P("age", Op.LT, "age"), P("birth_year", Op.LT, "birth_year"))),
             ("airport", DenialConstraint.of(P("state", Op.EQ, "state"), P("elevation", Op.LE, "elevation"))),
+            ("stock", DenialConstraint.of(P("open", Op.EQ, "close", single_tuple=True), P("volume", Op.GE, "volume"))),
+            ("stock", DenialConstraint.of(P("open", Op.NE, "low", single_tuple=True), P("close", Op.LE, "high", single_tuple=True), P("ticker", Op.EQ, "ticker"))),
+            ("stock", DenialConstraint.of(P("high", Op.GT, "close", single_tuple=True), P("open", Op.GE, "low", single_tuple=True), P("trade_date", Op.LT, "trade_date"))),
         ],
-        ids=["tax-rate", "tax-zip", "stock-hilo", "stock-vol", "voter-age", "airport-elev"],
+        ids=["tax-rate", "tax-zip", "stock-hilo", "stock-vol", "voter-age", "airport-elev",
+             "stock-st-eq", "stock-st-ne-le", "stock-st-gt-ge"],
     )
     def test_datasets_clean(self, spark, name, dc):
+        """Spark Column, numpy and SQL renderings agree on the count. The
+        cases cover every operator in a two-tuple and in a single-tuple
+        predicate."""
         from repro.oracle import assert_equivalent
 
         pdf = DATASETS[name](60, seed=3).pdf.copy()
         pdf["__rid"] = range(len(pdf))
         df = spark.createDataFrame(pdf)
-        got = violating_pairs_df(df, dc)
         sql = (
             "SELECT count(*) AS n_violations FROM d t1, d t2 "
             f"WHERE t1.__rid <> t2.__rid AND {dc.violation_sql('t1', 't2')}"
         )
-        assert_equivalent(got, sql, d=pdf)
+        assert_equivalent(violating_pairs_df(df, dc), sql, d=pdf)
+        numpy_count = spark.range(1).select(
+            F.lit(dc.violating_pairs_pandas(pdf)).cast("long").alias("n_violations")
+        )
+        assert_equivalent(numpy_count, sql, d=pdf)
 
     def test_dirty_dataset(self, spark):
         from repro.datasets import add_noise

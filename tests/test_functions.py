@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import F1, F2, F3Greedy, build_evidence_local, build_predicate_space
-from repro.core.functions import one_minus_f1
+from repro.core.functions import UncoveredView, one_minus_f1
 from repro.datasets import PHI1, PHI2, running_example
 
 
@@ -190,11 +190,15 @@ class TestAxioms:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_prefilter_never_rejects_true_positive(self, ctx, data):
-        """passes() with the Prop-5.3 prefilter equals the unfiltered check."""
+        """passes() with the Prop-5.3 prefilter equals the unfiltered check,
+        given the uncovered sets as a list or as the enumerator's
+        UncoveredView (indices plus precomputed weight)."""
         _, space, ev = ctx
         hs = data.draw(hitting_sets(len(space)))
         eps = data.draw(st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.3]))
         unc = uncovered_for_hs(ev, hs)
+        view = UncoveredView(unc, sum(int(ev.counts[i]) for i in unc))
         for f in (F2(), F3Greedy()):
             direct = 1.0 - f.score(ev, unc) <= eps + 1e-12
             assert f.passes(ev, unc, eps) == direct
+            assert f.passes(ev, view, eps) == direct

@@ -37,9 +37,13 @@ class TestTableJobs:
 
 class TestFigureJobs:
     def test_fig6(self, spark):
-        out = fig6_enum_vs_searchmc.run(spark, n=60, seed=0, datasets=("airport", "adult"))
-        assert len(out) == 2
-        assert out["agree"].all()
+        # Only configurations where both enumerators finish: a truncated run
+        # leaves agree=None and would compare nothing (adult hits the
+        # deadline at every n from 20 to 60).
+        out = fig6_enum_vs_searchmc.run(spark, n=60, seed=0, datasets=("airport",))
+        assert len(out) == 1
+        assert not out["truncated"].any()
+        assert out["agree"].tolist() == [True] * len(out)
         assert (out["adcenum_s"] > 0).all() and (out["searchmc_s"] > 0).all()
 
     def test_fig6_sample_mode(self, spark):

@@ -1,7 +1,16 @@
-"""End-to-end ADCMiner pipeline (Figure 1) — Spark and local variants."""
+"""End-to-end ADCMiner pipeline (Figure 1)."""
 import pytest
 
-from repro.core import F1, F2, F3Greedy, adc_miner, adc_miner_local, build_predicate_space
+from repro.core import (
+    F1,
+    F2,
+    F3Greedy,
+    adc_enum,
+    adc_miner,
+    build_evidence_local,
+    build_predicate_space,
+    hitting_sets_to_dcs,
+)
 from repro.datasets import DATASETS, PHI1, add_noise, running_example
 from repro.metrics import g_recall, prf
 
@@ -22,9 +31,12 @@ class TestSparkPipeline:
         assert PHI1.predicates in res.dc_set
 
     def test_matches_local_pipeline(self, spark, re_df, re_space):
+        """Spark pipeline vs the driver-only reference: numpy evidence,
+        the same enumerator."""
         res_s = adc_miner(spark, re_df, F1(), 0.01, space=re_space)
-        res_l = adc_miner_local(running_example(), F1(), 0.01, space=re_space)
-        assert res_s.dc_set == res_l.dc_set
+        ev = build_evidence_local(running_example(), re_space)
+        local = hitting_sets_to_dcs(ev, adc_enum(ev, F1(), 0.01)[0])
+        assert res_s.dc_set == {dc.predicates for dc in local}
 
     def test_timings_recorded(self, spark, re_df, re_space):
         res = adc_miner(spark, re_df, F1(), 0.05, space=re_space)
@@ -88,40 +100,46 @@ class TestSparkPipeline:
         assert plain.dcs  # the plain run is exercised too
 
 
+def mine(spark, pdf, f, eps, **kw):
+    return adc_miner(spark, spark.createDataFrame(pdf), f, eps, **kw)
+
+
 class TestLocalPipeline:
-    def test_golden_recovery_clean_airport(self):
+    """The pipeline on small pandas inputs (Spark DataFrames built from them)."""
+
+    def test_golden_recovery_clean_airport(self, spark):
         spec = DATASETS["airport"](40, seed=4)
-        res = adc_miner_local(spec.pdf, F1(), 0.0, timeout_s=60)
+        res = mine(spark, spec.pdf, F1(), 0.0, timeout_s=60)
         assert not res.enum_stats.truncated
         assert g_recall(res.dcs, spec.golden) == 1.0
 
-    def test_golden_recovery_dirty_spread(self):
+    def test_golden_recovery_dirty_spread(self, spark):
         spec = DATASETS["airport"](40, seed=4)
         dirty = add_noise(spec.pdf, rate=0.01, mode="spread", seed=1)
-        valid = adc_miner_local(dirty, F1(), 0.0, timeout_s=60)
-        approx = adc_miner_local(dirty, F1(), 0.02, timeout_s=60)
+        valid = mine(spark, dirty, F1(), 0.0, timeout_s=60)
+        approx = mine(spark, dirty, F1(), 0.02, timeout_s=60)
         # §8.4 headline: valid-DC mining loses golden DCs, ADC mining recovers
         assert g_recall(approx.dcs, spec.golden) >= g_recall(valid.dcs, spec.golden)
         assert g_recall(approx.dcs, spec.golden) >= 0.5
 
-    def test_eps_zero_only_valid_dcs(self):
+    def test_eps_zero_only_valid_dcs(self, spark):
         spec = DATASETS["food"](40, seed=2)
-        res = adc_miner_local(spec.pdf, F1(), 0.0, timeout_s=60)
+        res = mine(spark, spec.pdf, F1(), 0.0, timeout_s=60)
         for dc in res.dcs:
             assert dc.violating_pairs_pandas(spec.pdf) == 0
 
-    def test_outputs_satisfy_threshold(self):
+    def test_outputs_satisfy_threshold(self, spark):
         pdf = running_example()
-        res = adc_miner_local(pdf, F1(), 0.02)
+        res = mine(spark, pdf, F1(), 0.02)
         n_pairs = len(pdf) * (len(pdf) - 1)
         for dc in res.dcs:
             assert dc.violating_pairs_pandas(pdf) / n_pairs <= 0.02 + 1e-9
 
-    def test_outputs_are_minimal_wrt_threshold(self):
+    def test_outputs_are_minimal_wrt_threshold(self, spark):
         from repro.core.dc import DenialConstraint
 
         pdf = running_example()
-        res = adc_miner_local(pdf, F1(), 0.02)
+        res = mine(spark, pdf, F1(), 0.02)
         n_pairs = len(pdf) * (len(pdf) - 1)
         for dc in res.dcs:
             for p in dc.predicates:
@@ -132,29 +150,29 @@ class TestLocalPipeline:
                     sub.violating_pairs_pandas(pdf) / n_pairs > 0.02 - 1e-9
                 ), f"{dc} not minimal: {sub} also passes"
 
-    def test_sample_vs_full_prf(self):
+    def test_sample_vs_full_prf(self, spark):
         """§8.3 protocol at micro scale: mine a sample, score against full."""
         spec = DATASETS["food"](50, seed=5)
-        full = adc_miner_local(spec.pdf, F1(), 0.0, timeout_s=60)
+        full = mine(spark, spec.pdf, F1(), 0.0, timeout_s=60)
         import numpy as np
 
         rng = np.random.default_rng(0)
         idx = rng.choice(len(spec.pdf), size=35, replace=False)
         sub = spec.pdf.iloc[idx].reset_index(drop=True)
         space = full.space  # same predicate space on both sides
-        sampled = adc_miner_local(sub, F1(), 0.0, space=space, timeout_s=60)
+        sampled = mine(spark, sub, F1(), 0.0, space=space, timeout_s=60)
         r = prf(sampled.dcs, full.dcs)
         assert 0.0 <= r.f1 <= 1.0
         # exact (ε=0) DCs cannot reliably be mined from a sample — the
         # paper's very motivation for ADCs — so only expect partial recall
         assert r.recall > 0.15
 
-    def test_larger_eps_more_general_dcs(self):
+    def test_larger_eps_more_general_dcs(self, spark):
         """Higher thresholds produce shorter (more general) DCs on average —
         the §8.4 observation behind 'too general' DCs."""
         pdf = running_example()
-        small = adc_miner_local(pdf, F1(), 0.001)
-        large = adc_miner_local(pdf, F1(), 0.1)
+        small = mine(spark, pdf, F1(), 0.001)
+        large = mine(spark, pdf, F1(), 0.1)
         if small.dcs and large.dcs:
             avg_small = sum(map(len, small.dcs)) / len(small.dcs)
             avg_large = sum(map(len, large.dcs)) / len(large.dcs)

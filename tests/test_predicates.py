@@ -41,7 +41,7 @@ class TestOperators:
         q = p.complement
         for x, y in [(1, 1), (1, 2), (2, 1)]:
             t, s = {"a": x}, {"a": y}
-            assert p.eval_pair(t, s) != q.eval_pair(t, s)
+            assert p.eval(t, s) != q.eval(t, s)
 
 
 class TestPredicate:
@@ -63,14 +63,14 @@ class TestPredicate:
 
     def test_single_tuple_eval_ignores_second_tuple(self):
         p = Predicate("A", Op.LT, "B", single_tuple=True)
-        assert p.eval_pair({"A": 1, "B": 2}, {"A": 9, "B": 0})
-        assert not p.eval_pair({"A": 3, "B": 2}, {"A": 0, "B": 9})
+        assert p.eval({"A": 1, "B": 2}, {"A": 9, "B": 0})
+        assert not p.eval({"A": 3, "B": 2}, {"A": 0, "B": 9})
 
-    def test_eval_block_matches_eval_pair(self):
+    def test_eval_broadcasts_over_arrays(self):
         p = Predicate("A", Op.GT, "B")
         t = {"A": np.array([1, 5])[:, None], "B": np.array([2, 2])[:, None]}
         s = {"A": np.array([0, 0])[None, :], "B": np.array([0, 4])[None, :]}
-        out = p.eval_block(t, s)
+        out = p.eval(t, s)
         assert out.shape == (2, 2)
         assert out[1, 0] and not out[0, 1]
 
@@ -155,28 +155,36 @@ class TestSpaceGeneration:
         assert len(space) == 40 and space.n_words == 1
 
 
+def sat(space, t, s) -> list[bool]:
+    """``Sat(t, s)`` as one truth value per predicate of ``space``."""
+    return [bool(p.eval(t, s)) for p in space]
+
+
+def described(space, t, s) -> set[str]:
+    return {str(p) for p, ok in zip(space, sat(space, t, s)) if ok}
+
+
 class TestExample31:
     """Example 3.1 of the paper: Sat(t2,t5) and Sat(t5,t2)."""
 
     def test_sat_t2_t5(self, re_pdf, re_space):
         t2 = re_pdf.iloc[1].to_dict()
         t5 = re_pdf.iloc[4].to_dict()
-        mask = re_space.sat_mask(t2, t5)
-        sat = set(re_space.describe_mask(mask))
+        got = described(re_space, t2, t5)
         assert {"t.Name!=t'.Name", "t.Income>t'.Income", "t.Income>=t'.Income",
-                "t.Income>t'.Tax", "t.Income>=t'.Tax"} <= sat
-        assert "t.Income<t'.Income" not in sat
+                "t.Income>t'.Tax", "t.Income>=t'.Tax"} <= got
+        assert "t.Income<t'.Income" not in got
 
     def test_sat_t5_t2(self, re_pdf, re_space):
         t2 = re_pdf.iloc[1].to_dict()
         t5 = re_pdf.iloc[4].to_dict()
-        sat = set(re_space.describe_mask(re_space.sat_mask(t5, t2)))
-        assert {"t.Name!=t'.Name", "t.Income<t'.Income", "t.Income<=t'.Income"} <= sat
-        assert "t.Income>t'.Income" not in sat
+        got = described(re_space, t5, t2)
+        assert {"t.Name!=t'.Name", "t.Income<t'.Income", "t.Income<=t'.Income"} <= got
+        assert "t.Income>t'.Income" not in got
 
     def test_mask_has_exactly_one_per_complement_pair(self, re_pdf, re_space):
         t1 = re_pdf.iloc[0].to_dict()
         t3 = re_pdf.iloc[2].to_dict()
-        mask = re_space.sat_mask(t1, t3)
+        bits = sat(re_space, t1, t3)
         for i, ci in enumerate(re_space.complement_idx):
-            assert (mask >> i & 1) != (mask >> ci & 1)
+            assert bits[i] != bits[ci]
