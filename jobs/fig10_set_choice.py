@@ -3,6 +3,8 @@
 The paper deviates from Murakami & Uno by picking the uncovered set with
 the *maximal* candidate intersection; this job times both policies for the
 three approximation functions on the paper's three Figure-10 datasets.
+``truncated`` marks rows where either policy hit ``max_results`` or the
+deadline, so their times and node counts are not comparable.
 """
 import sys
 import time
@@ -24,13 +26,14 @@ def run(spark, n: int = 150, seed: int = 0, eps: float = 0.01,
         ev = build_evidence_spark(spark, df, space)
         build_vios_spark(spark, df, ev)
         for f in (F1(), F2(), F3Greedy()):
-            row = {"dataset": name, "function": f.name}
+            row = {"dataset": name, "function": f.name, "truncated": False}
             for choose in ("max", "min"):
                 t0 = time.perf_counter()
                 res, stats = adc_enum(ev, f, eps, choose=choose, timeout_s=90,
                                       max_results=max_results)
                 row[f"{choose}_s"] = round(time.perf_counter() - t0, 3)
                 row[f"{choose}_nodes"] = stats.nodes
+                row["truncated"] |= stats.truncated
             row["n_adcs"] = len(res)
             rows.append(row)
         df.unpersist()

@@ -13,19 +13,21 @@ Implements Figures 3–5 of the paper: the MMCS algorithm of Murakami & Uno
   ``cand`` (paper §6.2; ``choose="min"`` reproduces [32] for Figure 10).
 
 With ``eps=0`` and ``F1`` the algorithm degenerates to exact MMCS — tests
-exploit this. ``groups=None`` keeps the DC-specific pruning off, yielding a
-generic minimal-approximate-hitting-set enumerator (paper contribution 2).
+exploit this. ``groups=None`` uses ``ev.space.group_others``; empty groups
+turn the DC-specific pruning off, yielding a generic minimal-approximate-
+hitting-set enumerator (paper contribution 2).
 
-The per-node work (pivot scoring, WillCover, UpdateCritUncov) is vectorized
-over a dense evidence×predicate membership matrix — the Python counterpart
-of the bit-parallel set operations a native implementation would use.
+All sets are Python-int bitsets, as in MMCS and FastADC: ``uncov``,
+``canHit`` and ``crit[e]`` over evidence ids, ``cand`` over predicate ids,
+with ``rows[i]`` (evidence set i) and ``cols[e]`` (predicate e) as the two
+views of membership. Every set update is a few ``&``/``|``/``~``.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import getitem, or_
 
 from .dc import DenialConstraint
 from .evidence import EvidenceSet
@@ -45,20 +47,21 @@ class EnumStats:
     truncated: bool = False
 
 
-class _LazyIndices:
-    """Iterates the current uncovered indices without materializing them
-    unless an approximation function actually needs them (f2/f3 do; f1
-    reads only the precomputed weight)."""
+class _Bits:
+    """The set bit positions of ``x``, ascending. As evidence ids handed to
+    f, they are walked only if f needs them (f2/f3 do; f1 reads the weight)."""
 
-    __slots__ = ("arr", "extra")
+    __slots__ = ("x",)
 
-    def __init__(self, arr: np.ndarray, extra=()):
-        self.arr = arr
-        self.extra = extra
+    def __init__(self, x: int):
+        self.x = x
 
     def __iter__(self):
-        yield from np.nonzero(self.arr)[0].tolist()
-        yield from self.extra
+        x = self.x
+        while x:
+            low = x & -x
+            yield low.bit_length() - 1
+            x ^= low
 
 
 class ADCEnum:
@@ -81,58 +84,58 @@ class ADCEnum:
         self.eps = eps
         if choose not in ("max", "min"):
             raise ValueError("choose must be 'max' or 'min'")
-        self.choose = choose
+        self.sign = 1 if choose == "max" else -1  # the pivot maximizes sign·|F ∩ cand|
         self.n_elements = n_elements if n_elements is not None else len(ev.space)
         # groups[e] = other predicate ids differing from e only by operator
-        self.groups = groups if groups is not None else ev.space.group_others
+        groups = groups if groups is not None else ev.space.group_others
+        self.group_mask = [sum(1 << g for g in groups[e]) for e in range(self.n_elements)]
         self.max_results = max_results
         self.timeout_s = timeout_s
         self.results: list[frozenset[int]] = []
         self.stats = EnumStats()
-        # dense membership matrix: M[i, e] = 1 iff predicate e ∈ evidence set i
-        n_sets = len(ev.masks)
-        self.M = np.zeros((n_sets, self.n_elements), dtype=np.uint8)
-        for i, m in enumerate(ev.masks):
-            for e in range(self.n_elements):
-                if m >> e & 1:
-                    self.M[i, e] = 1
-        self.Mb = self.M.astype(bool)
-        self.counts = np.asarray(ev.counts, dtype=np.int64)
+        # rows[i]: predicates of evidence set i; cols[e]: evidence sets holding e
+        full = (1 << self.n_elements) - 1
+        self.rows = [m & full for m in ev.masks]
+        self.cols = [0] * self.n_elements
+        for i, row in enumerate(self.rows):
+            for e in _Bits(row):
+                self.cols[e] |= 1 << i
+        # wtab[k][b]: weight of the evidence sets 8k..8k+7 that byte b selects
+        counts = [int(c) for c in ev.counts] + [0] * 7
+        self.wtab = []
+        for k in range(0, len(self.rows), 8):
+            tab = [0]
+            for c in counts[k : k + 8]:
+                tab += [t + c for t in tab]
+            self.wtab.append(tab)
 
     # -- helpers --------------------------------------------------------------
 
-    def _passes(self, view) -> bool:
+    def _weight(self, bits: int) -> int:
+        return sum(map(getitem, self.wtab, bits.to_bytes(len(self.wtab), "little")))
+
+    def _passes(self, bits: int, weight: int) -> bool:
         self.stats.f_evals += 1
-        return self.f.passes(self.ev, view, self.eps)
+        return self.f.passes(self.ev, UncoveredView(_Bits(bits), weight), self.eps)
 
     def _is_minimal(self, S: list[int]) -> bool:
         """IsMinimal (Figure 5): S∖{e} must fail for every e ∈ S."""
         for e in S:
-            crit_e = self.crit.get(e)
-            extra = crit_e.tolist() if crit_e is not None else ()
-            w = self.uncov_weight + (
-                int(self.counts[crit_e].sum()) if crit_e is not None else 0
-            )
-            view = UncoveredView(_LazyIndices(self.uncov, extra), w)
-            if self._passes(view):
+            crit_e = self.crit[e]
+            if self._passes(self.uncov | crit_e, self.uncov_weight + self._weight(crit_e)):
                 return False
         return True
 
     def _choose_f(self) -> int | None:
-        """Pivot: uncovered, choosable, with max/min |F ∩ cand| > 0."""
-        rows = self.uncov & self.canhit
-        idx = np.nonzero(rows)[0]
-        if idx.size == 0:
-            return None
-        inter = self.M[idx] @ self.cand_u8
-        ok = inter > 0
-        if not ok.any():
-            return None
-        if self.choose == "max":
-            k = int(np.argmax(np.where(ok, inter, -1)))
-        else:
-            k = int(np.argmin(np.where(ok, inter, np.iinfo(np.int64).max)))
-        return int(idx[k])
+        """Pivot: the lowest uncovered, choosable set with max/min
+        |F ∩ cand| > 0."""
+        rows, cand, sign = self.rows, self.cand, self.sign
+        best, best_i = -self.n_elements - 1, None
+        for i in _Bits(self.uncov & self.canhit):
+            k = (rows[i] & cand).bit_count()
+            if k and sign * k > best:
+                best, best_i = sign * k, i
+        return best_i
 
     def _check_limits(self) -> None:
         if self.max_results is not None and len(self.results) >= self.max_results:
@@ -145,13 +148,12 @@ class ADCEnum:
     # -- main recursion (Figure 4) --------------------------------------------
 
     def run(self) -> list[frozenset[int]]:
-        n_sets = len(self.ev.masks)
-        self.uncov = np.ones(n_sets, dtype=bool)
-        self.uncov_weight = int(self.counts.sum())
-        self.canhit = np.ones(n_sets, dtype=bool)
-        self.cand = np.ones(self.n_elements, dtype=bool)
-        self.cand_u8 = np.ones(self.n_elements, dtype=np.uint8)
-        self.crit: dict[int, np.ndarray] = {}
+        all_sets = (1 << len(self.rows)) - 1
+        self.uncov = all_sets
+        self.uncov_weight = self._weight(all_sets)
+        self.canhit = all_sets
+        self.cand = (1 << self.n_elements) - 1
+        self.crit: dict[int, int] = {}
         self._t0 = time.perf_counter()
         try:
             self._recurse([])
@@ -161,17 +163,13 @@ class ADCEnum:
         self.stats.outputs = len(self.results)
         return self.results
 
-    def _set_cand(self, ids, value: bool) -> None:
-        self.cand[ids] = value
-        self.cand_u8[ids] = 1 if value else 0
-
     def _recurse(self, S: list[int]) -> None:
         self.stats.nodes += 1
         self._check_limits()
 
         # base case (lines 1-3): threshold met → output iff minimal; any
         # extension would be non-minimal, so return either way
-        if self._passes(UncoveredView(_LazyIndices(self.uncov), self.uncov_weight)):
+        if self._passes(self.uncov, self.uncov_weight):
             if self._is_minimal(S):
                 self.results.append(frozenset(S))
                 self._check_limits()
@@ -180,61 +178,57 @@ class ADCEnum:
         fi = self._choose_f()  # line 4
         if fi is None:  # lines 5-6
             return
-        frow = self.Mb[fi]
+        frow = self.rows[fi]
 
         # ---- branch 1 (lines 7-12): do NOT hit F -----------------------------
-        removed = np.nonzero(frow & self.cand)[0]
-        self._set_cand(removed, False)
+        removed = frow & self.cand
+        self.cand ^= removed
         # cand-disjoint uncovered sets: both the canHit update and WillCover
         # need them (UpdateCanCover marks them unhittable; WillCover sums them)
-        unc_idx = np.nonzero(self.uncov)[0]
-        disjoint = unc_idx[(self.M[unc_idx] @ self.cand_u8) == 0]
-        flipped = disjoint[self.canhit[disjoint]]
-        self.canhit[flipped] = False  # UpdateCanCover
-        will_weight = int(self.counts[disjoint].sum())
-        if self._passes(UncoveredView(disjoint.tolist(), will_weight)):  # WillCover
+        disjoint = self.uncov & ~reduce(or_, [self.cols[e] for e in _Bits(self.cand)], 0)
+        flipped = disjoint & self.canhit
+        self.canhit ^= flipped  # UpdateCanCover
+        if self._passes(disjoint, self._weight(disjoint)):  # WillCover
             self._recurse(S)
-        self.canhit[flipped] = True  # line 12
-        self._set_cand(removed, True)  # line 11
+        self.canhit |= flipped  # line 12
+        self.cand |= removed  # line 11
 
         # ---- branch 2 (lines 13-22): hit F -----------------------------------
-        C = np.nonzero(frow & self.cand)[0].tolist()
-        self._set_cand(C, False)
-        readd: list[int] = []
-        for e in C:
-            ecol = self.Mb[:, e]
+        C = frow & self.cand
+        self.cand ^= C
+        for e in _Bits(C):
+            ecol = self.cols[e]
             # UpdateCritUncov (Figure 3)
-            newly = np.nonzero(ecol & self.uncov)[0]
-            self.uncov[newly] = False
-            self.uncov_weight -= int(self.counts[newly].sum())
+            newly = ecol & self.uncov
+            newly_weight = self._weight(newly)
+            self.uncov ^= newly
+            self.uncov_weight -= newly_weight
             self.crit[e] = newly
-            moved: dict[int, np.ndarray] = {}
+            moved: dict[int, int] = {}
             ok = True
             for u in S:
                 cu = self.crit[u]
-                mv_mask = ecol[cu]
-                if mv_mask.any():
-                    moved[u] = cu[mv_mask]
-                    self.crit[u] = cu[~mv_mask]
-                if self.crit[u].size == 0:
+                mv = cu & ecol
+                if mv:
+                    moved[u] = mv
+                    self.crit[u] = cu = cu ^ mv
+                if not cu:
                     ok = False  # u no longer critical anywhere → prune (line 17)
             if ok:
                 # RemoveRedundantPreds: same attribute pair, other operator
-                grp = [g for g in self.groups[e] if self.cand[g]]
-                self._set_cand(grp, False)
+                grp = self.group_mask[e] & self.cand
+                self.cand ^= grp
                 self._recurse(S + [e])
-                self._set_cand(grp, True)
-                # line 20: add e back only when the crit test succeeded
-                readd.append(e)
-                self._set_cand([e], True)
+                # line 20: add e back too, as the crit test succeeded
+                self.cand |= grp | 1 << e
             # line 21: undo UpdateCritUncov
-            self.uncov[newly] = True
-            self.uncov_weight += int(self.counts[newly].sum())
+            self.uncov |= newly
+            self.uncov_weight += newly_weight
             del self.crit[e]
             for u, mv in moved.items():
-                self.crit[u] = np.concatenate([self.crit[u], mv])
+                self.crit[u] |= mv
         # line 22: restore cand to its state on entry to the loop
-        self._set_cand([e for e in C if e not in readd], True)
+        self.cand |= C
 
 
 def adc_enum(

@@ -38,6 +38,11 @@ from .predicates import PredicateSpace, pair_grid
 RID = "__rid"
 
 
+def _quote(name: str) -> str:
+    """Backtick ``name``, doubling inner backticks, so dots and spaces resolve."""
+    return "`" + name.replace("`", "``") + "`"
+
+
 @dataclass
 class EvidenceSet:
     """Driver-side evidence set: distinct ``Sat`` masks with multiplicities.
@@ -83,13 +88,13 @@ def with_rid(df: DataFrame) -> DataFrame:
         return df
     from pyspark.sql.window import Window
 
-    w = Window.orderBy(*[F.col(c) for c in df.columns])
+    w = Window.orderBy(*[F.col(_quote(c)) for c in df.columns])
     return df.withColumn(RID, F.row_number().over(w) - F.lit(1))
 
 
 class _Side:
     """One side of the pair self-join as the ``name → Column`` mapping
-    :meth:`Predicate.eval` reads: ``_Side("l")["A"]`` is ``F.col("l.A")``."""
+    :meth:`Predicate.eval` reads: ``_Side("l")["A"]`` is ``F.col("l.`A`")``."""
 
     __slots__ = ("alias",)
 
@@ -97,7 +102,7 @@ class _Side:
         self.alias = alias
 
     def __getitem__(self, name: str) -> Column:
-        return F.col(f"{self.alias}.{name}")
+        return F.col(f"{self.alias}.{_quote(name)}")
 
 
 def _word_columns(space: PredicateSpace) -> list[Column]:
@@ -198,8 +203,8 @@ def build_evidence_naive(
                 m |= 1 << i
         return format(m, "x")
 
-    lstruct = F.struct(*[F.col(f"l.{a}") for a in attrs])
-    rstruct = F.struct(*[F.col(f"r.{a}") for a in attrs])
+    lstruct = F.struct(*[_Side("l")[a] for a in attrs])
+    rstruct = F.struct(*[_Side("r")[a] for a in attrs])
     agg = (
         _pairs(df)
         .select(sat_hex(lstruct, rstruct).alias("m"))

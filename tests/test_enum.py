@@ -6,11 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import F1, adc_enum, build_evidence_local, build_predicate_space
+from repro.core import (
+    F1,
+    F2,
+    F3Greedy,
+    adc_enum,
+    build_evidence_local,
+    build_predicate_space,
+    search_mc,
+)
 from repro.core.enumerate import hitting_sets_to_dcs
 from repro.core.evidence import EvidenceSet
 from repro.core.functions import ApproximationFunction
-from repro.datasets import PHI1, running_example
+from repro.datasets import DATASETS, PHI1, running_example
 
 
 class _FakeSpace:
@@ -115,6 +123,59 @@ class TestAgainstBruteForce:
         ev = make_instance([0b01, 0b10], [1, 9], 2)
         got, _ = adc_enum(ev, FracF1(), 0.1)
         assert set(got) == {frozenset({1})}
+
+
+class TestWideInstance:
+    """Bitsets wider than one 64-bit word on both axes: 70 predicates and
+    80 distinct evidence sets (the generator above stops at 9 and 12)."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        rng = np.random.default_rng(0)
+        n_el, masks = 70, set()
+        while len(masks) < 80:
+            bits = np.flatnonzero(rng.random(n_el) < 0.9)
+            masks.add(sum(1 << int(e) for e in bits))
+        return make_instance(sorted(masks), rng.integers(1, 20, size=80).tolist(), n_el)
+
+    @pytest.mark.parametrize("eps", [0.02, 0.05])
+    def test_matches_search_mc(self, wide, eps):
+        got, stats = adc_enum(wide, FracF1(), eps, timeout_s=60)
+        expected, mc_stats = search_mc(wide, FracF1(), eps, timeout_s=60)
+        assert not stats.truncated and not mc_stats.truncated
+        assert len(got) == len(set(got)), "duplicate outputs"
+        assert set(got) == set(expected)
+        assert any(max(s) >= 64 for s in got)
+
+
+class TestSearchTreePinned:
+    """The exact tree ADCEnum walks on food n=40 (seed 0, ε=0.005).
+
+    ``nodes`` and ``f_evals`` are pinned, so an engine change that alters
+    the pivot, a prune or the order of the recursion fails here.
+    """
+
+    PINNED = {
+        # (function, choose): (nodes, f_evals)
+        ("f1", "max"): (52378, 114960),
+        ("f1", "min"): (15207, 57533),
+        ("f2", "max"): (50019, 79269),
+        ("f2", "min"): (6100, 12127),
+        ("f3", "max"): (50019, 79269),
+        ("f3", "min"): (6100, 12127),
+    }
+
+    @pytest.fixture(scope="class")
+    def ev(self):
+        pdf = DATASETS["food"](40, seed=0).pdf
+        return build_evidence_local(pdf, build_predicate_space(pdf), with_vios=True)
+
+    @pytest.mark.parametrize("choose", ["max", "min"])
+    @pytest.mark.parametrize("f", [F1(), F2(), F3Greedy()], ids=["f1", "f2", "f3"])
+    def test_nodes_and_f_evals(self, ev, f, choose):
+        _, stats = adc_enum(ev, f, 0.005, choose=choose)
+        assert not stats.truncated
+        assert (stats.nodes, stats.f_evals) == self.PINNED[(f.name, choose)]
 
 
 class TestLimits:

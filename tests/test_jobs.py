@@ -68,7 +68,11 @@ class TestFigureJobs:
     def test_fig10(self, spark):
         out = fig10_set_choice.run(spark, n=50, seed=0, datasets=("airport",))
         assert len(out) == 3  # three functions
-        assert (out["max_nodes"] > 0).all() and (out["min_nodes"] > 0).all()
+        # EXPERIMENTS.md's honest negative: at this scale the min pivot of
+        # Murakami & Uno builds the smaller tree on every complete run
+        complete = out[~out["truncated"]]
+        assert len(complete) >= 2
+        assert (complete["min_nodes"] < complete["max_nodes"]).all()
 
     def test_fig11(self, spark):
         out = fig11_sampling_quality.run(

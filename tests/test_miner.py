@@ -177,3 +177,24 @@ class TestLocalPipeline:
             avg_small = sum(map(len, small.dcs)) / len(small.dcs)
             avg_large = sum(map(len, large.dcs)) / len(large.dcs)
             assert avg_large <= avg_small
+
+
+class TestOddColumnNames:
+    """Column names with a dot, a space or a backtick mine like plain ones."""
+
+    ODD = {"city": "x.y", "state": "a b", "elevation": "c`d"}
+
+    @pytest.fixture(scope="class")
+    def airport(self):
+        pdf = DATASETS["airport"](60, seed=0).pdf
+        return pdf[["iata", "city", "state", "country", "elevation", "tz_offset"]]
+
+    @pytest.mark.parametrize("builder", ["fast", "naive"])
+    @pytest.mark.parametrize("f", [F1(), F2()], ids=["f1", "f2"])
+    def test_same_result_as_plain_names(self, spark, airport, f, builder):
+        plain = mine(spark, airport, f, 0.01, builder=builder, timeout_s=60)
+        odd = mine(spark, airport.rename(columns=self.ODD), f, 0.01, builder=builder, timeout_s=60)
+        assert not plain.enum_stats.truncated and not odd.enum_stats.truncated
+        assert [p.lhs for p in odd.space] == [self.ODD.get(p.lhs, p.lhs) for p in plain.space]
+        assert set(odd.hitting_sets) == set(plain.hitting_sets) and odd.dcs
+        assert odd.enum_stats.nodes == plain.enum_stats.nodes
