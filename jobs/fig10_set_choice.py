@@ -17,14 +17,13 @@ from jobs.common import dataset_df, job_main  # noqa: E402
 
 def run(spark, n: int = 150, seed: int = 0, eps: float = 0.01,
         datasets=("tax", "hospital", "food"), max_results: int = 2000) -> pd.DataFrame:
-    from repro.core import F1, F2, F3Greedy, adc_enum, build_evidence_spark, build_predicate_space, build_vios_spark
+    from repro.core import F1, F2, F3Greedy, adc_enum, build_evidence_spark, build_predicate_space
 
     rows = []
     for name in datasets:
         spec, df = dataset_df(spark, name, n, seed)
         space = build_predicate_space(spec.pdf)
-        ev = build_evidence_spark(spark, df, space)
-        build_vios_spark(spark, df, ev)
+        ev = build_evidence_spark(spark, df, space, with_vios=True)
         for f in (F1(), F2(), F3Greedy()):
             row = {"dataset": name, "function": f.name, "truncated": False}
             for choose in ("max", "min"):

@@ -44,7 +44,6 @@ def run(spark, n: int = 300, seed: int = 0, noise_rate: float = 0.002,
         F3Greedy,
         build_evidence_spark,
         build_predicate_space,
-        build_vios_spark,
         with_rid,
     )
     from repro.datasets import DATASETS, add_noise
@@ -57,8 +56,7 @@ def run(spark, n: int = 300, seed: int = 0, noise_rate: float = 0.002,
             dirty = add_noise(spec.pdf, rate=noise_rate, mode=mode, seed=seed + 11)
             space = build_predicate_space(dirty)
             df = with_rid(spark.createDataFrame(dirty)).cache()
-            ev = build_evidence_spark(spark, df, space)
-            build_vios_spark(spark, df, ev)
+            ev = build_evidence_spark(spark, df, space, with_vios=True)
             unc = {g: golden_uncovered(ev, space, g) for g in spec.golden}
             for fname in functions:
                 f = fmap[fname]

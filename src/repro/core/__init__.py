@@ -7,7 +7,6 @@ from .evidence import (
     build_evidence_local,
     build_evidence_naive,
     build_evidence_spark,
-    build_vios_spark,
     with_rid,
 )
 from .functions import F1, F2, ApproximationFunction, F3Greedy, one_minus_f1
@@ -20,6 +19,6 @@ __all__ = [
     "F1", "F2", "F3Greedy", "MinerResult", "Op", "Predicate",
     "PredicateSpace", "adc_enum", "adc_miner", "adc_miner_local",
     "build_evidence_local", "build_evidence_naive", "build_evidence_spark",
-    "build_predicate_space", "build_vios_spark", "hitting_sets_to_dcs",
+    "build_predicate_space", "hitting_sets_to_dcs",
     "one_minus_f1", "search_mc", "violating_pairs_df", "with_rid",
 ]

@@ -18,17 +18,25 @@ Builders:
 - :func:`build_evidence_local` — numpy reference implementation used by the
   test oracle and for driver-only micro-instances.
 
-The ``vios`` structure of Figure 2 (per evidence set, per tuple violation
-counts, needed by f2 and GreedyF3) is built by :func:`build_vios_spark` /
-locally, again as a DataFrame aggregation.
+The two Spark builders differ only in their mask columns; the scan, the
+aggregate and the collect are one shared pass (``_aggregate``).
+
+All three take ``with_vios``: it also fills the ``vios`` structure of
+Figure 2 (per evidence set, per tuple pair counts, needed by f2 and
+GreedyF3). The Spark builders get it from the same scan by grouping on
+(mask, tid), each ordered pair counted once for each of its two tuples;
+a mask's pair count is then half its summed tuple counts.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 import pandas as pd
+from pyspark import StorageLevel
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
@@ -105,16 +113,16 @@ class _Side:
         return F.col(f"{self.alias}.{_quote(name)}")
 
 
-def _word_columns(space: PredicateSpace) -> list[Column]:
+def _word_columns(space: PredicateSpace) -> dict[str, Column]:
     """Pack the space's boolean predicate columns into int64 words."""
     t, s = _Side("l"), _Side("r")
-    words: list[Column] = []
+    words: dict[str, Column] = {}
     for w in range(space.n_words):
         bits = [
             F.shiftleft(p.eval(t, s).cast("long"), k)
             for k, p in enumerate(space.predicates[w * 64 : (w + 1) * 64])
         ]
-        words.append(reduce(Column.bitwiseOR, bits).alias(f"w{w}"))
+        words[f"w{w}"] = reduce(Column.bitwiseOR, bits)
     return words
 
 
@@ -130,56 +138,73 @@ def _pairs(df: DataFrame) -> DataFrame:
     return left.join(right, on=F.col(f"l.{RID}") != F.col(f"r.{RID}"), how="inner")
 
 
+@contextmanager
+def _cached(df: DataFrame) -> Iterator[DataFrame]:
+    """``df`` cached for the block; released after it only if it was not
+    cached before, so a caller's cached frame stays cached."""
+    own = df.storageLevel == StorageLevel.NONE
+    if own:
+        df.cache()
+    try:
+        yield df
+    finally:
+        if own:
+            df.unpersist()
+
+
+def _aggregate(
+    df: DataFrame,
+    space: PredicateSpace,
+    keys: dict[str, Column],
+    decode: Callable[[tuple], int],
+    with_vios: bool,
+) -> EvidenceSet:
+    """The pair scan both Spark builders share.
+
+    ``keys`` names the builder's mask columns over the pair join and
+    ``decode`` turns one row's key values into the mask. With ``with_vios``
+    each ordered pair is attributed to both its tuples (``tid``) in the same
+    aggregate, so a mask's pair count is half the sum over its tuples.
+    """
+    with _cached(with_rid(df)) as df:
+        n = df.count()
+        cols = [c.alias(name) for name, c in keys.items()]
+        group = list(keys)
+        if with_vios:
+            cols.append(F.explode(F.array(F.col(f"l.{RID}"), F.col(f"r.{RID}"))).alias("tid"))
+            group.append("tid")
+        rows = (
+            _pairs(df)
+            .select(*cols)
+            .groupBy(*group)
+            .agg(F.count(F.lit(1)).alias("cnt"))
+            .collect()
+        )
+    k = len(keys)
+    bag: dict[tuple, int] = {}
+    per_tid: dict[tuple, dict[int, int]] = {}
+    for r in rows:
+        key, cnt = tuple(r[:k]), r[-1]
+        bag[key] = bag.get(key, 0) + cnt
+        if with_vios:
+            per_tid.setdefault(key, {})[r[k]] = cnt
+    masks = [decode(key) for key in bag]
+    counts = np.fromiter(bag.values(), dtype=np.int64, count=len(bag))
+    ev = EvidenceSet(space, masks, counts // 2 if with_vios else counts, n)
+    if with_vios:
+        ev.vios = {i: per_tid[key] for i, key in enumerate(bag)}
+    return ev
+
+
 def build_evidence_spark(
-    spark: SparkSession, df: DataFrame, space: PredicateSpace
+    spark: SparkSession, df: DataFrame, space: PredicateSpace, *, with_vios: bool = False
 ) -> EvidenceSet:
     """Distributed evidence construction via Catalyst (see module doc)."""
-    df = with_rid(df).cache()
-    n = df.count()
-    word_names = [f"w{w}" for w in range(space.n_words)]
-    agg = (
-        _pairs(df)
-        .select(*_word_columns(space))
-        .groupBy(*word_names)
-        .agg(F.count(F.lit(1)).alias("cnt"))
-        .collect()
-    )
-    masks = [_mask_from_words(tuple(r[w] for w in word_names)) for r in agg]
-    counts = np.array([r["cnt"] for r in agg], dtype=np.int64)
-    return EvidenceSet(space, masks, counts, n)
-
-
-def build_vios_spark(
-    spark: SparkSession, df: DataFrame, ev: EvidenceSet
-) -> None:
-    """Populate ``ev.vios`` with per-(evidence set, tuple) pair counts.
-
-    For every ordered pair the pair's mask is attributed to both its tuples,
-    then aggregated by (mask, rid) — a single extra DataFrame aggregation.
-    """
-    space = ev.space
-    df = with_rid(df)
-    word_names = [f"w{w}" for w in range(space.n_words)]
-    rows = (
-        _pairs(df)
-        .select(
-            *_word_columns(space),
-            F.explode(F.array(F.col(f"l.{RID}"), F.col(f"r.{RID}"))).alias("tid"),
-        )
-        .groupBy(*word_names, "tid")
-        .agg(F.count(F.lit(1)).alias("cnt"))
-        .collect()
-    )
-    idx_of = {m: i for i, m in enumerate(ev.masks)}
-    vios: dict[int, dict[int, int]] = {i: {} for i in range(ev.n_distinct)}
-    for r in rows:
-        i = idx_of[_mask_from_words(tuple(r[w] for w in word_names))]
-        vios[i][int(r["tid"])] = int(r["cnt"])
-    ev.vios = vios
+    return _aggregate(df, space, _word_columns(space), _mask_from_words, with_vios)
 
 
 def build_evidence_naive(
-    spark: SparkSession, df: DataFrame, space: PredicateSpace
+    spark: SparkSession, df: DataFrame, space: PredicateSpace, *, with_vios: bool = False
 ) -> EvidenceSet:
     """AFASTDC-style builder: per-pair Python UDF computing ``Sat`` masks.
 
@@ -188,8 +213,6 @@ def build_evidence_naive(
     trick differs: masks are returned as hex strings to avoid UDF bigint
     overflow for spaces wider than 63 predicates.
     """
-    df = with_rid(df).cache()
-    n = df.count()
     attrs = [c for c in df.columns if c != RID]
     preds = list(space.predicates)
 
@@ -205,16 +228,8 @@ def build_evidence_naive(
 
     lstruct = F.struct(*[_Side("l")[a] for a in attrs])
     rstruct = F.struct(*[_Side("r")[a] for a in attrs])
-    agg = (
-        _pairs(df)
-        .select(sat_hex(lstruct, rstruct).alias("m"))
-        .groupBy("m")
-        .agg(F.count(F.lit(1)).alias("cnt"))
-        .collect()
-    )
-    masks = [int(r["m"], 16) for r in agg]
-    counts = np.array([r["cnt"] for r in agg], dtype=np.int64)
-    return EvidenceSet(space, masks, counts, n)
+    keys = {"m": sat_hex(lstruct, rstruct)}
+    return _aggregate(df, space, keys, lambda k: int(k[0], 16), with_vios)
 
 
 def build_evidence_local(

@@ -95,7 +95,7 @@ def _require_vios(ev: EvidenceSet) -> dict[int, dict[int, int]]:
     if ev.vios is None:
         raise ValueError(
             "this approximation function needs ev.vios "
-            "(build with with_vios=True or build_vios_spark)"
+            "(build the evidence with with_vios=True)"
         )
     return ev.vios
 

@@ -23,10 +23,10 @@ from .dc import DenialConstraint
 from .enumerate import EnumStats, adc_enum, hitting_sets_to_dcs
 from .evidence import (
     EvidenceSet,
+    _cached,
     build_evidence_local,
     build_evidence_naive,
     build_evidence_spark,
-    build_vios_spark,
     with_rid,
 )
 from .functions import ApproximationFunction
@@ -88,16 +88,14 @@ def adc_miner(
     sampled = df if sample_fraction is None else df.sample(
         withReplacement=False, fraction=sample_fraction, seed=seed
     )
-    sampled = with_rid(sampled).cache()
-    n_sampled = sampled.count()
-    timings["sampling"] = time.perf_counter() - t0
+    with _cached(with_rid(sampled)) as sampled:
+        n_sampled = sampled.count()
+        timings["sampling"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    build = build_evidence_spark if builder == "fast" else build_evidence_naive
-    ev = build(spark, sampled, space)
-    if f.needs_vios:
-        build_vios_spark(spark, sampled, ev)
-    timings["evidence"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        build = build_evidence_spark if builder == "fast" else build_evidence_naive
+        ev = build(spark, sampled, space, with_vios=f.needs_vios)
+        timings["evidence"] = time.perf_counter() - t0
 
     eff_f = f
     if alpha is not None and sample_fraction is not None and f.name == "f1":

@@ -21,17 +21,10 @@ tests check it returns exactly ADCEnum's results on shared instances.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .enumerate import EnumStats
 from .evidence import EvidenceSet
 from .functions import ApproximationFunction
-
-
-@dataclass
-class _Ctx:
-    masks: list[int]
-    counts: list[int]
 
 
 def search_mc(

@@ -15,11 +15,11 @@ from repro.core import (
     build_evidence_naive,
     build_evidence_spark,
     build_predicate_space,
-    build_vios_spark,
     violating_pairs_df,
     with_rid,
 )
 from repro.core.dc import DenialConstraint
+from repro.core.evidence import RID
 from repro.core.predicates import Op, Predicate
 from repro.datasets import DATASETS, PHI1, PHI2, running_example
 
@@ -30,6 +30,14 @@ def _sorted_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
     """Sort rows like with_rid's window (orderBy all columns) so local rids
     align with Spark rids."""
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
+
+
+def _bag(ev) -> dict[int, int]:
+    return dict(zip(ev.masks, ev.counts.tolist()))
+
+
+def _vios_by_mask(ev) -> dict[int, dict[int, int]]:
+    return {ev.masks[i]: v for i, v in ev.vios.items()}
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +62,30 @@ class TestFastBuilder:
         ev = build_evidence_spark(spark, df, space)
         ev.check()
 
-    def test_vios_matches_local(self, spark, re_ctx):
-        pdf, space, df = re_ctx
-        ev_s = build_evidence_spark(spark, df, space)
-        build_vios_spark(spark, df, ev_s)
+    @pytest.mark.parametrize(
+        "case,n",
+        [("running", None), ("running", 0), ("running", 1), ("running", 2), ("flight", None)],
+        ids=["running-example", "n0", "n1", "n2", "flight-multiword"],
+    )
+    def test_vios_matches_local(self, spark, re_ctx, case, n):
+        """One scan gives the bag and vios of the local reference; a mask's
+        tuple counts sum to twice its pair count."""
+        if case == "flight":
+            pdf = _sorted_pdf(DATASETS["flight"](20, seed=1).pdf)
+            space = build_predicate_space(pdf)
+            assert space.n_words >= 2
+            df = with_rid(spark.createDataFrame(pdf))
+        else:
+            pdf, space, df = re_ctx
+            if n is not None:  # the first n rows by rid
+                pdf, df = pdf.head(n), df.where(F.col(RID) < n)
+        ev_s = build_evidence_spark(spark, df, space, with_vios=True)
         ev_l = build_evidence_local(pdf, space, with_vios=True)
-        by_mask_s = {ev_s.masks[i]: v for i, v in ev_s.vios.items()}
-        by_mask_l = {ev_l.masks[i]: v for i, v in ev_l.vios.items()}
-        assert by_mask_s == by_mask_l
+        ev_s.check()
+        assert _bag(ev_s) == _bag(ev_l)
+        assert _vios_by_mask(ev_s) == _vios_by_mask(ev_l)
+        for i, c in enumerate(ev_s.counts.tolist()):
+            assert sum(ev_s.vios[i].values()) == 2 * c
 
     @pytest.mark.parametrize("name", ["tax", "stock", "airport"])
     def test_datasets_match_local(self, spark, name):
@@ -104,13 +128,16 @@ class TestFastBuilder:
 
 
 class TestNaiveBuilder:
-    def test_matches_fast_builder(self, spark, re_ctx):
+    @pytest.mark.parametrize("with_vios", [False, True], ids=["bag", "vios"])
+    def test_matches_fast_builder(self, spark, re_ctx, with_vios):
         _, space, df = re_ctx
-        ev_f = build_evidence_spark(spark, df, space)
-        ev_n = build_evidence_naive(spark, df, space)
-        assert dict(zip(ev_f.masks, ev_f.counts.tolist())) == dict(
-            zip(ev_n.masks, ev_n.counts.tolist())
-        )
+        ev_f = build_evidence_spark(spark, df, space, with_vios=with_vios)
+        ev_n = build_evidence_naive(spark, df, space, with_vios=with_vios)
+        assert _bag(ev_f) == _bag(ev_n)
+        if with_vios:
+            assert _vios_by_mask(ev_f) == _vios_by_mask(ev_n)
+        else:
+            assert ev_f.vios is None and ev_n.vios is None
 
     def test_on_dataset(self, spark):
         spec = DATASETS["adult"](30, seed=5)

@@ -10,6 +10,7 @@ from repro.core import (
     build_evidence_local,
     build_predicate_space,
     hitting_sets_to_dcs,
+    with_rid,
 )
 from repro.datasets import DATASETS, PHI1, add_noise, running_example
 from repro.metrics import g_recall, prf
@@ -65,6 +66,23 @@ class TestSparkPipeline:
         a = adc_miner(spark, re_df, F1(), 0.05, space=re_space)
         b = adc_miner(spark, re_df, F1(), 0.05, space=re_space, builder="naive")
         assert a.dc_set == b.dc_set
+
+    def test_releases_only_its_own_cache(self, spark, re_df, re_space):
+        """Each call unpersists the frame it cached itself; a caller's cached
+        frame (with or without a row id) stays cached."""
+        def persistent():
+            return spark.sparkContext._jsc.sc().getPersistentRDDs().size()
+
+        with_id = with_rid(spark.createDataFrame(running_example())).cache()
+        with_id.count()
+        before = persistent()
+        adc_miner(spark, re_df, F2(), 0.1, space=re_space)
+        adc_miner(spark, re_df, F1(), 0.05, space=re_space, sample_fraction=0.5)
+        adc_miner(spark, with_id, F2(), 0.1, space=re_space)
+        assert persistent() == before
+        for df in (re_df, with_id):
+            assert df.is_cached and df.storageLevel.useMemory
+        with_id.unpersist()
 
     def test_sampling_reduces_input(self, spark, re_space):
         spec = DATASETS["tax"](200, seed=0)
