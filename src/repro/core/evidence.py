@@ -26,6 +26,7 @@ Figure 2 (per evidence set, per tuple pair counts, needed by f2 and
 GreedyF3). The Spark builders get it from the same scan by grouping on
 (mask, tid), each ordered pair counted once for each of its two tuples;
 a mask's pair count is then half its summed tuple counts.
+:func:`build_vios_spark` is the Catalyst builder with ``with_vios`` set.
 """
 from __future__ import annotations
 
@@ -201,6 +202,17 @@ def build_evidence_spark(
 ) -> EvidenceSet:
     """Distributed evidence construction via Catalyst (see module doc)."""
     return _aggregate(df, space, _word_columns(space), _mask_from_words, with_vios)
+
+
+def build_vios_spark(spark: SparkSession, df: DataFrame, space: PredicateSpace) -> EvidenceSet:
+    """:func:`build_evidence_spark` with ``with_vios``: the bag and ``vios``
+    from one pass.
+
+    :func:`~repro.core.miner.adc_miner` calls it under this name when the
+    function needs ``vios``: adcbench's per-layer trace wraps it as its
+    ``evidence.vios`` layer, which therefore times the whole pass.
+    """
+    return build_evidence_spark(spark, df, space, with_vios=True)
 
 
 def build_evidence_naive(

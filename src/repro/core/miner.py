@@ -27,6 +27,7 @@ from .evidence import (
     build_evidence_local,
     build_evidence_naive,
     build_evidence_spark,
+    build_vios_spark,
     with_rid,
 )
 from .functions import ApproximationFunction
@@ -93,8 +94,11 @@ def adc_miner(
         timings["sampling"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        build = build_evidence_spark if builder == "fast" else build_evidence_naive
-        ev = build(spark, sampled, space, with_vios=f.needs_vios)
+        if builder == "fast":
+            build = build_vios_spark if f.needs_vios else build_evidence_spark
+            ev = build(spark, sampled, space)
+        else:
+            ev = build_evidence_naive(spark, sampled, space, with_vios=f.needs_vios)
         timings["evidence"] = time.perf_counter() - t0
 
     eff_f = f

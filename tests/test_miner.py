@@ -57,6 +57,24 @@ class TestSparkPipeline:
         assert res3.evidence.vios is not None
         assert res2.dcs and res3.dcs
 
+    @pytest.mark.parametrize("f", [F1(), F2()], ids=["f1", "f2"])
+    def test_one_evidence_pass(self, spark, re_df, re_space, monkeypatch, f):
+        """The fast path runs one builder call: ``build_vios_spark`` when the
+        function needs vios (adcbench traces it as its vios layer), else
+        ``build_evidence_spark``."""
+        from repro.core import miner
+
+        calls = []
+        for name in ("build_evidence_spark", "build_vios_spark"):
+            def spy(*args, _name=name, _fn=getattr(miner, name), **kw):
+                calls.append(_name)
+                return _fn(*args, **kw)
+
+            monkeypatch.setattr(miner, name, spy)
+        res = adc_miner(spark, re_df, f, 0.2, space=re_space)
+        assert calls == ["build_vios_spark" if f.needs_vios else "build_evidence_spark"]
+        assert (res.evidence.vios is not None) == f.needs_vios
+
     def test_searchmc_backend_agrees(self, spark, re_df, re_space):
         a = adc_miner(spark, re_df, F1(), 0.05, space=re_space)
         b = adc_miner(spark, re_df, F1(), 0.05, space=re_space, enumerator="searchmc")
