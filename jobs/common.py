@@ -23,6 +23,14 @@ ALL_DATASETS = ["tax", "stock", "hospital", "food", "airport", "adult", "flight"
 
 
 def get_spark(app: str) -> SparkSession:
+    """The one SparkSession factory, for the jobs and the test suite.
+
+    Master and driver memory are read when the JVM launches, so they go into
+    ``PYSPARK_SUBMIT_ARGS`` (unless already set) before the first session:
+    ``SPARK_MASTER`` (default ``local[*]``) and ``SPARK_DRIVER_MEM`` (default
+    8g). ``SPARK_SHUFFLE_PARTITIONS`` defaults to 16. Arrow is on, and
+    broadcast joins are off so the pair scan always runs as a shuffle join.
+    """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
@@ -33,6 +41,7 @@ def get_spark(app: str) -> SparkSession:
     return (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"))
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
@@ -60,11 +69,10 @@ def job_main(run_fn, title: str, **defaults):
 
 def dataset_df(spark: SparkSession, name: str, n: int, seed: int):
     """Materialize one synthetic dataset as a cached Spark DataFrame."""
-    from repro.core import with_rid
     from repro.datasets import DATASETS
 
     spec = DATASETS[name](n, seed=seed)
-    df = with_rid(spark.createDataFrame(spec.pdf)).cache()
+    df = spark.createDataFrame(spec.pdf).cache()
     df.count()
     return spec, df
 

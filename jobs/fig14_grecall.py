@@ -44,7 +44,6 @@ def run(spark, n: int = 300, seed: int = 0, noise_rate: float = 0.002,
         F3Greedy,
         build_evidence_spark,
         build_predicate_space,
-        with_rid,
     )
     from repro.datasets import DATASETS, add_noise
 
@@ -55,8 +54,7 @@ def run(spark, n: int = 300, seed: int = 0, noise_rate: float = 0.002,
         for mode in ("spread", "skewed"):
             dirty = add_noise(spec.pdf, rate=noise_rate, mode=mode, seed=seed + 11)
             space = build_predicate_space(dirty)
-            df = with_rid(spark.createDataFrame(dirty)).cache()
-            ev = build_evidence_spark(spark, df, space, with_vios=True)
+            ev = build_evidence_spark(spark, spark.createDataFrame(dirty), space, with_vios=True)
             unc = {g: golden_uncovered(ev, space, g) for g in spec.golden}
             for fname in functions:
                 f = fmap[fname]
@@ -75,7 +73,6 @@ def run(spark, n: int = 300, seed: int = 0, noise_rate: float = 0.002,
                             "g_recall": round(hits / len(spec.golden), 3),
                         }
                     )
-            df.unpersist()
     return pd.DataFrame(rows)
 
 

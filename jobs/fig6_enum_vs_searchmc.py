@@ -23,7 +23,7 @@ def run(spark, n: int = 40, seed: int = 0, eps: float = 0.005,
         spec, df = dataset_df(spark, name, n, seed)
         space = build_predicate_space(spec.pdf)
         for frac in sample_fractions:
-            sub = df if frac >= 1.0 else df.sample(False, frac, seed=seed).cache()
+            sub = df if frac >= 1.0 else df.sample(False, frac, seed=seed)
             ev = build_evidence_spark(spark, sub, space)
             t0 = time.perf_counter()
             res_a, st_a = adc_enum(ev, F1(), eps, timeout_s=timeout_s, max_results=max_results)

@@ -91,7 +91,7 @@ def _to_dc_str(space, bits):
 
 def run(spark, n: int = 300, seed: int = 0, eps: float = 0.005,
         datasets=("tax", "stock", "hospital", "food", "flight", "voter")) -> pd.DataFrame:
-    from repro.core import build_evidence_spark, build_predicate_space, with_rid
+    from repro.core import build_evidence_spark, build_predicate_space
     from repro.datasets import DATASETS, add_noise
 
     rows = []
@@ -99,8 +99,7 @@ def run(spark, n: int = 300, seed: int = 0, eps: float = 0.005,
         spec = DATASETS[name](n, seed=seed)
         dirty = add_noise(spec.pdf, rate=0.002, mode="spread", seed=seed + 1)
         space = build_predicate_space(dirty)
-        df = with_rid(spark.createDataFrame(dirty)).cache()
-        ev = build_evidence_spark(spark, df, space)
+        ev = build_evidence_spark(spark, spark.createDataFrame(dirty), space)
         for g in spec.golden:
             unc = golden_uncovered(ev, space, g)
             if unc is None:  # a golden predicate fell out of the dirty space
@@ -121,7 +120,6 @@ def run(spark, n: int = 300, seed: int = 0, eps: float = 0.005,
                     "valid_dc": _to_dc_str(space, ext) if ext is not None else "—",
                 }
             )
-        df.unpersist()
     return pd.DataFrame(rows)
 
 

@@ -18,8 +18,8 @@ Builders:
 - :func:`build_evidence_local` — numpy reference implementation used by the
   test oracle and for driver-only micro-instances.
 
-The two Spark builders differ only in their mask columns; the scan, the
-aggregate and the collect are one shared pass (``_aggregate``).
+The two Spark builders differ only in their mask columns; the row id, the
+scan, the aggregate and the collect are one shared pass (``_aggregate``).
 
 All three take ``with_vios``: it also fills the ``vios`` structure of
 Figure 2 (per evidence set, per tuple pair counts, needed by f2 and
@@ -56,8 +56,9 @@ def _quote(name: str) -> str:
 class EvidenceSet:
     """Driver-side evidence set: distinct ``Sat`` masks with multiplicities.
 
-    ``vios[i]`` (when loaded) maps tuple rid → number of ordered pairs with
-    ``Sat = masks[i]`` that involve the tuple (as either side).
+    ``vios[i]`` (when loaded) maps tuple id (the pass's ``__rid``: unique,
+    not dense) → number of ordered pairs with ``Sat = masks[i]`` that
+    involve the tuple (as either side).
     """
 
     space: PredicateSpace
@@ -88,17 +89,15 @@ class EvidenceSet:
 
 
 def with_rid(df: DataFrame) -> DataFrame:
-    """Attach a stable 0..n-1 row id if absent.
+    """Attach a row id if absent: unique, not dense, and partition-parallel.
 
-    Uses a window row_number over the natural column order; stability only
-    matters within one mining run (the id keys the ``vios`` structure).
+    ``monotonically_increasing_id`` numbers rows inside each partition, so no
+    exchange or sort is needed. The id only tells tuples apart (``t ≠ t'``)
+    and keys the ``vios`` structure within one evidence pass.
     """
     if RID in df.columns:
         return df
-    from pyspark.sql.window import Window
-
-    w = Window.orderBy(*[F.col(_quote(c)) for c in df.columns])
-    return df.withColumn(RID, F.row_number().over(w) - F.lit(1))
+    return df.withColumn(RID, F.monotonically_increasing_id())
 
 
 class _Side:
@@ -167,6 +166,8 @@ def _aggregate(
     each ordered pair is attributed to both its tuples (``tid``) in the same
     aggregate, so a mask's pair count is half the sum over its tuples.
     """
+    # The id is nondeterministic in Catalyst: both sides of the self-join
+    # must read the same materialised ids, so the rid'ed frame is cached.
     with _cached(with_rid(df)) as df:
         n = df.count()
         cols = [c.alias(name) for name, c in keys.items()]

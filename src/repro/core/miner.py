@@ -23,12 +23,10 @@ from .dc import DenialConstraint
 from .enumerate import EnumStats, adc_enum, hitting_sets_to_dcs
 from .evidence import (
     EvidenceSet,
-    _cached,
     build_evidence_local,
     build_evidence_naive,
     build_evidence_spark,
     build_vios_spark,
-    with_rid,
 )
 from .functions import ApproximationFunction
 from .predicates import PredicateSpace, build_predicate_space
@@ -89,17 +87,15 @@ def adc_miner(
     sampled = df if sample_fraction is None else df.sample(
         withReplacement=False, fraction=sample_fraction, seed=seed
     )
-    with _cached(with_rid(sampled)) as sampled:
-        n_sampled = sampled.count()
-        timings["sampling"] = time.perf_counter() - t0
+    timings["sampling"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        if builder == "fast":
-            build = build_vios_spark if f.needs_vios else build_evidence_spark
-            ev = build(spark, sampled, space)
-        else:
-            ev = build_evidence_naive(spark, sampled, space, with_vios=f.needs_vios)
-        timings["evidence"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    if builder == "fast":
+        build = build_vios_spark if f.needs_vios else build_evidence_spark
+        ev = build(spark, sampled, space)
+    else:
+        ev = build_evidence_naive(spark, sampled, space, with_vios=f.needs_vios)
+    timings["evidence"] = time.perf_counter() - t0
 
     eff_f = f
     if alpha is not None and sample_fraction is not None and f.name == "f1":
@@ -119,7 +115,7 @@ def adc_miner(
         evidence=ev,
         enum_stats=stats,
         timings=timings,
-        n_sampled=n_sampled,
+        n_sampled=ev.n_tuples,
     )
 
 

@@ -26,23 +26,29 @@ from repro.datasets import DATASETS, PHI1, PHI2, running_example
 P = Predicate
 
 
-def _sorted_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Sort rows like with_rid's window (orderBy all columns) so local rids
-    align with Spark rids."""
-    return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
-
-
 def _bag(ev) -> dict[int, int]:
     return dict(zip(ev.masks, ev.counts.tolist()))
 
 
-def _vios_by_mask(ev) -> dict[int, dict[int, int]]:
-    return {ev.masks[i]: v for i, v in ev.vios.items()}
+def _rows(df) -> tuple[pd.DataFrame, list[int]]:
+    """The frame's own ``(__rid, row)`` pairs, as its rows and their ids."""
+    rows = df.toPandas()
+    return rows, rows.pop(RID).tolist()
+
+
+def _vios_by_mask(ev, rids=None) -> dict[int, dict[int, int]]:
+    """Per mask, tuple → pair count; a Spark tid becomes the position of
+    its row in ``rids``, as the local reference numbers tuples."""
+    row = None if rids is None else {r: i for i, r in enumerate(rids)}
+    return {
+        ev.masks[i]: {(t if row is None else row[t]): c for t, c in v.items()}
+        for i, v in ev.vios.items()
+    }
 
 
 @pytest.fixture(scope="module")
 def re_ctx(spark):
-    pdf = _sorted_pdf(running_example())
+    pdf = running_example()
     space = build_predicate_space(pdf, include_pairs=[("Income", "Tax")])
     df = with_rid(spark.createDataFrame(pdf)).cache()
     return pdf, space, df
@@ -71,28 +77,44 @@ class TestFastBuilder:
         """One scan gives the bag and vios of the local reference; a mask's
         tuple counts sum to twice its pair count."""
         if case == "flight":
-            pdf = _sorted_pdf(DATASETS["flight"](20, seed=1).pdf)
+            pdf, schema = DATASETS["flight"](20, seed=1).pdf, None
             space = build_predicate_space(pdf)
             assert space.n_words >= 2
-            df = with_rid(spark.createDataFrame(pdf))
         else:
             pdf, space, df = re_ctx
-            if n is not None:  # the first n rows by rid
-                pdf, df = pdf.head(n), df.where(F.col(RID) < n)
+            if n is not None:
+                pdf = pdf.head(n)
+            schema = df.drop(RID).schema  # an empty frame has none to infer
+        self._assert_vios_matches_local(spark, spark.createDataFrame(pdf, schema), space)
+
+    def test_rid_is_partition_parallel(self, spark, re_ctx):
+        """The row id adds no single-partition exchange, and a frame spread
+        over 8 partitions gives the local reference's bag and vios."""
+        pdf, space, _ = re_ctx
+        plan = with_rid(spark.createDataFrame(pdf))._jdf.queryExecution().executedPlan()
+        assert "SinglePartition" not in plan.toString()
+        self._assert_vios_matches_local(spark, spark.createDataFrame(pdf).repartition(8), space)
+
+    @staticmethod
+    def _assert_vios_matches_local(spark, df, space):
+        df = with_rid(df).cache()
+        rows, rids = _rows(df)
+        assert len(set(rids)) == len(rids)
         ev_s = build_evidence_spark(spark, df, space, with_vios=True)
-        ev_l = build_evidence_local(pdf, space, with_vios=True)
+        ev_l = build_evidence_local(rows, space, with_vios=True)
+        df.unpersist()
         ev_s.check()
         assert _bag(ev_s) == _bag(ev_l)
-        assert _vios_by_mask(ev_s) == _vios_by_mask(ev_l)
+        assert _vios_by_mask(ev_s, rids) == _vios_by_mask(ev_l)
         for i, c in enumerate(ev_s.counts.tolist()):
             assert sum(ev_s.vios[i].values()) == 2 * c
 
     @pytest.mark.parametrize("name", ["tax", "stock", "airport"])
     def test_datasets_match_local(self, spark, name):
         spec = DATASETS[name](50, seed=11)
-        pdf = _sorted_pdf(spec.pdf)
+        pdf = spec.pdf
         space = build_predicate_space(pdf)
-        df = with_rid(spark.createDataFrame(pdf))
+        df = spark.createDataFrame(pdf)
         ev_s = build_evidence_spark(spark, df, space)
         ev_l = build_evidence_local(pdf, space)
         assert dict(zip(ev_s.masks, ev_s.counts.tolist())) == dict(
@@ -102,10 +124,10 @@ class TestFastBuilder:
     def test_wide_space_multi_word_masks(self, spark):
         # flight's space is > 128 predicates → exercises 3+ word packing
         spec = DATASETS["flight"](30, seed=1)
-        pdf = _sorted_pdf(spec.pdf)
+        pdf = spec.pdf
         space = build_predicate_space(pdf)
         assert space.n_words >= 3
-        df = with_rid(spark.createDataFrame(pdf))
+        df = spark.createDataFrame(pdf)
         ev_s = build_evidence_spark(spark, df, space)
         ev_l = build_evidence_local(pdf, space)
         assert dict(zip(ev_s.masks, ev_s.counts.tolist())) == dict(
@@ -117,9 +139,9 @@ class TestFastBuilder:
         li = synth_data.lineitem(spark, sf=0.00001).select(
             "l_quantity", "l_extendedprice", "l_discount", "l_tax"
         )
-        pdf = _sorted_pdf(li.toPandas())
+        pdf = li.toPandas()
         space = build_predicate_space(pdf, include_pairs=[("l_discount", "l_tax")])
-        df = with_rid(spark.createDataFrame(pdf))
+        df = spark.createDataFrame(pdf)
         ev_s = build_evidence_spark(spark, df, space)
         ev_l = build_evidence_local(pdf, space)
         assert dict(zip(ev_s.masks, ev_s.counts.tolist())) == dict(
@@ -141,9 +163,9 @@ class TestNaiveBuilder:
 
     def test_on_dataset(self, spark):
         spec = DATASETS["adult"](30, seed=5)
-        pdf = _sorted_pdf(spec.pdf)
+        pdf = spec.pdf
         space = build_predicate_space(pdf)
-        df = with_rid(spark.createDataFrame(pdf))
+        df = spark.createDataFrame(pdf)
         ev_f = build_evidence_spark(spark, df, space)
         ev_n = build_evidence_naive(spark, df, space)
         assert dict(zip(ev_f.masks, ev_f.counts.tolist())) == dict(
