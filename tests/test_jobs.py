@@ -36,11 +36,21 @@ class TestTableJobs:
 
 
 class TestFigureJobs:
-    def test_fig6_sample_mode(self, spark):
+    def test_fig6(self, spark):
         # Only configurations where both enumerators finish: a truncated run
         # leaves agree=None and would compare nothing (adult hits the
-        # deadline at every n from 20 to 60). The 1.0 row is the full-data
-        # Fig. 6 case, the 0.5 row the Fig. 9 sample mode.
+        # deadline at every n from 20 to 60).
+        out = fig6_enum_vs_searchmc.run(spark, n=60, seed=0, datasets=("airport",))
+        assert len(out) == 1
+        assert not out["truncated"].any()
+        assert out["agree"].tolist() == [True] * len(out)
+        assert (out["adcenum_s"] > 0).all()
+        # the paper's claim: ADCEnum beats SearchMC on the same evidence
+        assert (out["searchmc_s"] > out["adcenum_s"]).all()
+
+    def test_fig6_sample_mode(self, spark):
+        # The 1.0 row is the full-data Fig. 6 case, the 0.5 row the Fig. 9
+        # sample mode.
         out = fig6_enum_vs_searchmc.run(
             spark, n=80, seed=0, datasets=("airport",), sample_fractions=(0.5, 1.0)
         )
