@@ -7,33 +7,39 @@ ADCEnum and the approximation functions operate on.
 
 Builders:
 
-- :func:`build_evidence_spark` — the production path. A Catalyst self
-  cross-join evaluates every predicate as a boolean column, packs the bits
-  into int64 words with ``shiftleft``/``bitwiseOR`` and aggregates with
-  ``groupBy(words).count()``. This plays the role of DCFinder's [37]
-  bit-level evidence builder (see DESIGN.md §2).
-- :func:`build_evidence_naive` — AFASTDC-style [11] baseline: the same
-  cross-join but a per-pair Python UDF, i.e. tuple-at-a-time evaluation.
-  Used only for the Figure-7 runtime comparison.
-- :func:`build_evidence_local` — numpy reference implementation used by the
-  test oracle and for driver-only micro-instances.
-
-The two Spark builders differ only in their mask columns; the row id, the
-scan, the aggregate and the collect are one shared pass (``_aggregate``).
+- :func:`build_evidence_local` — the evidence kernel, over a pandas frame.
+  It encodes each column once, cuts the n×n pair grid into row-block
+  tiles, evaluates one representative per complement pair (``=``, ``<``,
+  ``>``) per tile and takes ``≠``, ``≥``, ``≤`` as its bitwise NOT, packs
+  the bits eight to a byte into uint64 words, drops the ``t = t'`` cells
+  and pre-aggregates the tile with ``np.unique``. Tiles run on driver
+  threads (numpy releases the GIL in these loops) and are merged on the
+  driver. This plays the role of DCFinder's [37] bit-level evidence
+  builder (see DESIGN.md §2).
+- :func:`build_evidence_spark` — the production entry for a Spark frame:
+  one Arrow collect of its rows, then the kernel. The evidence is collected
+  to the driver anyway, and the collect moves O(n) rows, not O(n²) pairs.
+- :func:`build_evidence_naive` — AFASTDC-style [11] baseline: a Catalyst
+  self cross-join with a per-pair Python UDF, i.e. tuple-at-a-time
+  evaluation. Used only for the Figure-7 runtime comparison.
 
 All three take ``with_vios``: it also fills the ``vios`` structure of
 Figure 2 (per evidence set, per tuple pair counts, needed by f2 and
-GreedyF3). The Spark builders get it from the same scan by grouping on
-(mask, tid), each ordered pair counted once for each of its two tuples;
-a mask's pair count is then half its summed tuple counts.
-:func:`build_vios_spark` is the Catalyst builder with ``with_vios`` set.
+GreedyF3), each ordered pair counted once for each of its two tuples.
+The kernel gets it by also evaluating, per tile, the pairs whose second
+tuple is in the tile, so each tuple's counts come from one tile.
+:func:`build_vios_spark` is the Spark builder with ``with_vios`` set.
+Every builder returns its masks in one canonical order (count descending,
+then mask ascending), so ADCEnum walks the same tree whatever builder,
+row order or partitioning produced the bag.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+import os
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 import pandas as pd
@@ -42,9 +48,13 @@ from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from .predicates import PredicateSpace, pair_grid
+from .predicates import REPRESENTATIVE, Predicate, PredicateSpace, is_numeric_dtype
 
 RID = "__rid"
+
+#: Pairs per tile of the kernel at most: a tile is whole rows of the pair
+#: grid, at least one.
+_TILE_PAIRS = 1 << 16
 
 
 def _quote(name: str) -> str:
@@ -56,9 +66,9 @@ def _quote(name: str) -> str:
 class EvidenceSet:
     """Driver-side evidence set: distinct ``Sat`` masks with multiplicities.
 
-    ``vios[i]`` (when loaded) maps tuple id (the pass's ``__rid``: unique,
-    not dense) → number of ordered pairs with ``Sat = masks[i]`` that
-    involve the tuple (as either side).
+    ``vios[i]`` (when loaded) maps tuple id → number of ordered pairs with
+    ``Sat = masks[i]`` that involve the tuple (as either side). A tuple id
+    is the row's position in the order of the frame the builder read.
     """
 
     space: PredicateSpace
@@ -88,12 +98,174 @@ class EvidenceSet:
                 )
 
 
+def _finish(
+    space: PredicateSpace,
+    n: int,
+    masks: list[int],
+    counts: list[int],
+    vios: list[dict[int, int]] | None,
+) -> EvidenceSet:
+    """The evidence set in canonical order: count descending, then mask
+    ascending. ``counts`` and ``vios`` (if given) are parallel to ``masks``."""
+    order = sorted(range(len(masks)), key=lambda i: (-counts[i], masks[i]))
+    ev = EvidenceSet(
+        space,
+        [masks[i] for i in order],
+        np.array([counts[i] for i in order], dtype=np.int64),
+        n,
+    )
+    if vios is not None:
+        ev.vios = {k: vios[i] for k, i in enumerate(order)}
+    return ev
+
+
+# -- the kernel ---------------------------------------------------------------
+
+
+def _encode(pdf: pd.DataFrame) -> dict[str, np.ndarray]:
+    """The column arrays the kernel compares.
+
+    Numeric columns stay as they are. The other columns are factorized
+    against one code table they all share, so equal values get equal codes
+    in every column and cross-column equality still holds; the codes keep
+    the values' order where the values order among each other. A null
+    becomes NaN, which every comparison reads as false (DESIGN.md §5).
+    """
+    n = len(pdf)
+    cols = {c: pdf[c].to_numpy() for c in pdf.columns if is_numeric_dtype(pdf[c])}
+    other = [c for c in pdf.columns if c not in cols]
+    if other:
+        values = pd.concat([pdf[c] for c in other], ignore_index=True)
+        try:
+            codes, _ = pd.factorize(values, sort=True)
+        except TypeError:  # values of types that do not order among each other
+            codes, _ = pd.factorize(values)
+        codes = np.where(codes < 0, np.nan, codes)
+        cols.update((c, codes[k * n : (k + 1) * n]) for k, c in enumerate(other))
+    return cols
+
+
+def _keys(cols, plan, flip, ts: slice, ss: slice, keep: np.ndarray) -> np.ndarray:
+    """The mask key of each pair ``(t, t')`` with ``t`` in rows ``ts`` and
+    ``t'`` in rows ``ss`` where ``keep`` (shaped as that grid) holds, in
+    row-major order: a uint64 when the space fits one word, else a void
+    item of its words' bytes."""
+    t = {c: v[ts, None] for c, v in cols.items()}
+    s = {c: v[None, ss] for c, v in cols.items()}
+    nb = len(flip)
+    by = np.zeros((nb,) + keep.shape, dtype=np.uint8)  # byte j: predicates 8j..8j+7
+    tmp = np.empty(keep.shape, dtype=np.uint8)
+    with np.errstate(invalid="ignore"):  # NaN compares false, silently
+        for rep, bits in plan.items():
+            sat = np.asarray(rep.eval(t, s), dtype=bool).view(np.uint8)
+            for k in bits:
+                np.left_shift(sat, k % 8, out=tmp)
+                np.bitwise_or(by[k // 8], tmp, out=by[k // 8])
+    by ^= flip[:, None, None]  # ≠, ≥, ≤: the NOT of their representative
+    pairs = np.ascontiguousarray(by.reshape(nb, -1)[:, keep.ravel()].T)
+    # a 1-D unique over these keys beats np.unique(axis=0) over word rows
+    return pairs.view("<u8").ravel() if nb == 8 else pairs.view(np.dtype((np.void, nb))).ravel()
+
+
+def _tile(cols, plan, flip, n: int, lo: int, hi: int, with_vios: bool):
+    """The pre-aggregated evidence of the pairs whose first tuple is a row
+    in ``[lo, hi)``: distinct mask keys and their counts. With vios also the
+    pairs whose second tuple is in the tile, so the tile's tuples get all
+    their pairs here, as a dense (key, tuple - lo) count matrix."""
+    own, every = slice(lo, hi), slice(0, n)
+    ids = np.arange(n)
+    out = ids[own, None] != ids[None, :]  # (t, t') with t here and t ≠ t'
+    keys = _keys(cols, plan, flip, own, every, out)
+    if not with_vios:
+        uniq, counts = np.unique(keys, return_counts=True)
+        return uniq, counts, None
+    into = out.T  # (t', t) with t here
+    uniq, inv = np.unique(
+        np.concatenate([keys, _keys(cols, plan, flip, every, own, into)]), return_inverse=True
+    )
+    counts = np.bincount(inv[: len(keys)], minlength=len(uniq))
+    tid = np.concatenate([np.nonzero(out)[0], np.nonzero(into)[1]])
+    r = hi - lo
+    return uniq, counts, np.bincount(inv * r + tid, minlength=len(uniq) * r).reshape(-1, r)
+
+
+def build_evidence_local(
+    pdf: pd.DataFrame, space: PredicateSpace, *, with_vios: bool = False
+) -> EvidenceSet:
+    """The evidence kernel over a pandas frame (see module doc)."""
+    used = {c for p in space.predicates for c in (p.lhs, p.rhs)}
+    work = pdf[[c for c in pdf.columns if c in used]].reset_index(drop=True)
+    n = len(work)
+    if n < 2:
+        return _finish(space, n, [], [], [] if with_vios else None)
+    cols = _encode(work)
+    plan: dict[Predicate, list[int]] = {}  # representative -> the bits it sets
+    for k, p in enumerate(space.predicates):
+        plan.setdefault(p if p.op in REPRESENTATIVE else p.complement, []).append(k)
+    flip = sum(1 << k for k, p in enumerate(space.predicates) if p.op not in REPRESENTATIVE)
+    flip = np.frombuffer(flip.to_bytes(8 * space.n_words, "little"), dtype=np.uint8)
+    # one thread per core: more only contend (8 threads on 4 cores were
+    # slower than 4); at least one tile per thread
+    workers = os.cpu_count() or 1
+    rows = max(1, min(_TILE_PAIRS // n, -(-n // workers)))
+    starts = range(0, n, rows)
+    with ThreadPoolExecutor(workers) as pool:
+        parts = list(pool.map(
+            lambda lo: _tile(cols, plan, flip, n, lo, min(n, lo + rows), with_vios), starts
+        ))
+    # merge the tiles: one global id per distinct mask key
+    keys, gid = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
+    counts = np.bincount(gid, np.concatenate([p[1] for p in parts]), len(keys))
+    if keys.dtype.kind == "u":
+        masks = keys.tolist()
+    else:
+        masks = [int.from_bytes(k.tobytes(), "little") for k in keys]
+    vios = None
+    if with_vios:  # each tuple's counts come from its own tile alone
+        offsets = np.cumsum([0] + [len(p[0]) for p in parts])
+        g, t, c = [], [], []
+        for o, lo, (_, _, per) in zip(offsets, starts, parts):
+            m, i = np.nonzero(per)
+            g.append(gid[o + m])
+            t.append(lo + i)
+            c.append(per[m, i])
+        g = np.concatenate(g)
+        order = np.argsort(g, kind="stable")
+        bounds = np.searchsorted(g[order], np.arange(len(keys) + 1))
+        t, c = np.concatenate(t)[order].tolist(), np.concatenate(c)[order].tolist()
+        vios = [dict(zip(t[a:b], c[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
+    return _finish(space, n, masks, counts.astype(np.int64).tolist(), vios)
+
+
+# -- Spark entry points ---------------------------------------------------------
+
+
+def build_evidence_spark(
+    spark: SparkSession, df: DataFrame, space: PredicateSpace, *, with_vios: bool = False
+) -> EvidenceSet:
+    """The evidence of a Spark frame: one Arrow collect of its rows, then the
+    kernel on the driver (see module doc). Tuple ids are row positions in
+    the collected order."""
+    return build_evidence_local(df.drop(RID).toPandas(), space, with_vios=with_vios)
+
+
+def build_vios_spark(spark: SparkSession, df: DataFrame, space: PredicateSpace) -> EvidenceSet:
+    """:func:`build_evidence_spark` with ``with_vios``: the bag and ``vios``
+    from one pass.
+
+    :func:`~repro.core.miner.adc_miner` calls it under this name when the
+    function needs ``vios``: adcbench's per-layer trace wraps it as its
+    ``evidence.vios`` layer, which therefore times the whole pass.
+    """
+    return build_evidence_spark(spark, df, space, with_vios=True)
+
+
 def with_rid(df: DataFrame) -> DataFrame:
     """Attach a row id if absent: unique, not dense, and partition-parallel.
 
     ``monotonically_increasing_id`` numbers rows inside each partition, so no
-    exchange or sort is needed. The id only tells tuples apart (``t ≠ t'``)
-    and keys the ``vios`` structure within one evidence pass.
+    exchange or sort is needed. The id tells tuples apart (``t ≠ t'``) in
+    the naive builder's self-join.
     """
     if RID in df.columns:
         return df
@@ -111,26 +283,6 @@ class _Side:
 
     def __getitem__(self, name: str) -> Column:
         return F.col(f"{self.alias}.{_quote(name)}")
-
-
-def _word_columns(space: PredicateSpace) -> dict[str, Column]:
-    """Pack the space's boolean predicate columns into int64 words."""
-    t, s = _Side("l"), _Side("r")
-    words: dict[str, Column] = {}
-    for w in range(space.n_words):
-        bits = [
-            F.shiftleft(p.eval(t, s).cast("long"), k)
-            for k, p in enumerate(space.predicates[w * 64 : (w + 1) * 64])
-        ]
-        words[f"w{w}"] = reduce(Column.bitwiseOR, bits)
-    return words
-
-
-def _mask_from_words(row_words: tuple[int, ...]) -> int:
-    mask = 0
-    for i, w in enumerate(row_words):
-        mask |= (int(w) & 0xFFFFFFFFFFFFFFFF) << (64 * i)
-    return mask
 
 
 def _pairs(df: DataFrame) -> DataFrame:
@@ -152,26 +304,18 @@ def _cached(df: DataFrame) -> Iterator[DataFrame]:
             df.unpersist()
 
 
-def _aggregate(
-    df: DataFrame,
-    space: PredicateSpace,
-    keys: dict[str, Column],
-    decode: Callable[[tuple], int],
-    with_vios: bool,
-) -> EvidenceSet:
-    """The pair scan both Spark builders share.
-
-    ``keys`` names the builder's mask columns over the pair join and
-    ``decode`` turns one row's key values into the mask. With ``with_vios``
-    each ordered pair is attributed to both its tuples (``tid``) in the same
-    aggregate, so a mask's pair count is half the sum over its tuples.
+def _aggregate(df: DataFrame, space: PredicateSpace, key: Column, with_vios: bool) -> EvidenceSet:
+    """The naive builder's pair scan: ``key`` is a pair's mask as a hex
+    string over the self-join. With ``with_vios`` each ordered pair is
+    attributed to both its tuples (``tid``) in the same aggregate, so a
+    mask's pair count is half the sum over its tuples; a tid becomes the
+    rank of its row id, which is the row's position in the frame's order.
     """
     # The id is nondeterministic in Catalyst: both sides of the self-join
     # must read the same materialised ids, so the rid'ed frame is cached.
     with _cached(with_rid(df)) as df:
         n = df.count()
-        cols = [c.alias(name) for name, c in keys.items()]
-        group = list(keys)
+        cols, group = [key.alias("m")], ["m"]
         if with_vios:
             cols.append(F.explode(F.array(F.col(f"l.{RID}"), F.col(f"r.{RID}"))).alias("tid"))
             group.append("tid")
@@ -182,38 +326,16 @@ def _aggregate(
             .agg(F.count(F.lit(1)).alias("cnt"))
             .collect()
         )
-    k = len(keys)
-    bag: dict[tuple, int] = {}
-    per_tid: dict[tuple, dict[int, int]] = {}
+    bag: dict[str, int] = {}
+    per_tid: dict[str, dict[int, int]] = {}
+    rank = {t: i for i, t in enumerate(sorted({r["tid"] for r in rows}))} if with_vios else {}
     for r in rows:
-        key, cnt = tuple(r[:k]), r[-1]
-        bag[key] = bag.get(key, 0) + cnt
+        bag[r["m"]] = bag.get(r["m"], 0) + r["cnt"]
         if with_vios:
-            per_tid.setdefault(key, {})[r[k]] = cnt
-    masks = [decode(key) for key in bag]
-    counts = np.fromiter(bag.values(), dtype=np.int64, count=len(bag))
-    ev = EvidenceSet(space, masks, counts // 2 if with_vios else counts, n)
-    if with_vios:
-        ev.vios = {i: per_tid[key] for i, key in enumerate(bag)}
-    return ev
-
-
-def build_evidence_spark(
-    spark: SparkSession, df: DataFrame, space: PredicateSpace, *, with_vios: bool = False
-) -> EvidenceSet:
-    """Distributed evidence construction via Catalyst (see module doc)."""
-    return _aggregate(df, space, _word_columns(space), _mask_from_words, with_vios)
-
-
-def build_vios_spark(spark: SparkSession, df: DataFrame, space: PredicateSpace) -> EvidenceSet:
-    """:func:`build_evidence_spark` with ``with_vios``: the bag and ``vios``
-    from one pass.
-
-    :func:`~repro.core.miner.adc_miner` calls it under this name when the
-    function needs ``vios``: adcbench's per-layer trace wraps it as its
-    ``evidence.vios`` layer, which therefore times the whole pass.
-    """
-    return build_evidence_spark(spark, df, space, with_vios=True)
+            per_tid.setdefault(r["m"], {})[rank[r["tid"]]] = r["cnt"]
+    masks = [int(m, 16) for m in bag]
+    counts = [c // 2 if with_vios else c for c in bag.values()]
+    return _finish(space, n, masks, counts, [per_tid[m] for m in bag] if with_vios else None)
 
 
 def build_evidence_naive(
@@ -222,9 +344,10 @@ def build_evidence_naive(
     """AFASTDC-style builder: per-pair Python UDF computing ``Sat`` masks.
 
     Deliberately tuple-at-a-time (no columnar bit packing) to serve as the
-    slow baseline of the Figure-7 comparison. Only the first 63-bit words
-    trick differs: masks are returned as hex strings to avoid UDF bigint
-    overflow for spaces wider than 63 predicates.
+    slow baseline of the Figure-7 comparison. Masks are returned as hex
+    strings to avoid UDF bigint overflow for spaces wider than 63
+    predicates. It compares Python values, so the null and NaN rule of the
+    kernel (DESIGN.md §5) does not hold here.
     """
     attrs = [c for c in df.columns if c != RID]
     preds = list(space.predicates)
@@ -241,47 +364,4 @@ def build_evidence_naive(
 
     lstruct = F.struct(*[_Side("l")[a] for a in attrs])
     rstruct = F.struct(*[_Side("r")[a] for a in attrs])
-    keys = {"m": sat_hex(lstruct, rstruct)}
-    return _aggregate(df, space, keys, lambda k: int(k[0], 16), with_vios)
-
-
-def build_evidence_local(
-    pdf: pd.DataFrame, space: PredicateSpace, *, with_vios: bool = False
-) -> EvidenceSet:
-    """Numpy reference builder over a pandas frame (tests / micro-instances)."""
-    work = pdf.drop(columns=[RID], errors="ignore").reset_index(drop=True)
-    n = len(work)
-    t, s = pair_grid(work)
-    # bit-pack predicate truth over the full n×n pair grid into uint64 words
-    words = [np.zeros((n, n), dtype=np.uint64) for _ in range(space.n_words)]
-    for k, p in enumerate(space.predicates):
-        sat = np.asarray(p.eval(t, s), dtype=bool)
-        words[k // 64] |= sat.astype(np.uint64) << np.uint64(k % 64)
-    bag: dict[int, int] = {}
-    vios: dict[int, dict[int, int]] = {}
-    cell_masks = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = 0
-            for w, wm in enumerate(words):
-                m |= int(wm[i, j]) << (64 * w)
-            cell_masks[i][j] = m
-            bag[m] = bag.get(m, 0) + 1
-    masks = list(bag)
-    counts = np.array([bag[m] for m in masks], dtype=np.int64)
-    ev = EvidenceSet(space, masks, counts, n)
-    if with_vios:
-        idx_of = {m: k for k, m in enumerate(masks)}
-        vios = {k: {} for k in range(len(masks))}
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                k = idx_of[cell_masks[i][j]]
-                d = vios[k]
-                d[i] = d.get(i, 0) + 1
-                d[j] = d.get(j, 0) + 1
-        ev.vios = vios
-    return ev
+    return _aggregate(df, space, sat_hex(lstruct, rstruct), with_vios)

@@ -72,8 +72,9 @@ def adc_miner(
     ``alpha`` (with the f1 family) switches acceptance on the sample to the
     corrected function f1' of §7.2 so that mined DCs hold on the full
     database w.r.t. ``eps`` with probability ≥ 1−alpha.
-    ``builder``: ``fast`` (Catalyst bit-packed) or ``naive`` (AFASTDC-style
-    UDF). ``enumerator``: ``adcenum`` or ``searchmc`` (baseline).
+    ``builder``: ``fast`` (the numpy tile kernel over one collect of the
+    sample) or ``naive`` (AFASTDC-style UDF). ``enumerator``: ``adcenum``
+    or ``searchmc`` (baseline).
     """
     timings: dict[str, float] = {}
 

@@ -44,6 +44,12 @@ COMPLEMENT: dict[Op, Op] = {
     Op.LE: Op.GT,
 }
 
+#: One representative per complement pair. The evidence kernel evaluates
+#: only these and takes the other three operators as their bitwise NOT, so
+#: exactly one of P / P̂ holds on every pair by construction, on nulls and
+#: NaN too (DESIGN.md §5).
+REPRESENTATIVE: frozenset[Op] = frozenset({Op.EQ, Op.LT, Op.GT})
+
 #: Evaluator per operator; Python's comparison operators work on scalars,
 #: numpy arrays and Spark ``Column``s alike (see :meth:`Predicate.eval`).
 PY_OP: dict[Op, Callable] = {

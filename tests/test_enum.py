@@ -18,6 +18,7 @@ from repro.core import (
 from repro.core.enumerate import hitting_sets_to_dcs
 from repro.core.evidence import EvidenceSet
 from repro.core.functions import ApproximationFunction
+from repro.core.predicates import pair_grid
 from repro.datasets import DATASETS, PHI1, running_example
 
 
@@ -152,7 +153,10 @@ class TestSearchTreePinned:
     """The exact tree ADCEnum walks on food n=40 (seed 0, ε=0.005).
 
     ``nodes`` and ``f_evals`` are pinned, so an engine change that alters
-    the pivot, a prune or the order of the recursion fails here.
+    the pivot, a prune or the order of the recursion fails here. The tree
+    also depends on the order of the evidence masks: ``PINNED`` holds for
+    the first-seen, row-major order the builders used to return, and
+    ``PINNED_CANONICAL`` for the canonical order they return now.
     """
 
     PINNED = {
@@ -164,11 +168,41 @@ class TestSearchTreePinned:
         ("f3", "max"): (50019, 79269),
         ("f3", "min"): (6100, 12127),
     }
+    PINNED_CANONICAL = {
+        ("f1", "max"): (50543, 112324),
+        ("f1", "min"): (13463, 54817),
+        ("f2", "max"): (50380, 80112),
+        ("f2", "min"): (4974, 9257),
+        ("f3", "max"): (50380, 80112),
+        ("f3", "min"): (4974, 9257),
+    }
 
     @pytest.fixture(scope="class")
-    def ev(self):
-        pdf = DATASETS["food"](40, seed=0).pdf
+    def pdf(self):
+        return DATASETS["food"](40, seed=0).pdf
+
+    @pytest.fixture(scope="class")
+    def canonical(self, pdf):
         return build_evidence_local(pdf, build_predicate_space(pdf), with_vios=True)
+
+    @pytest.fixture(scope="class")
+    def ev(self, pdf, canonical):
+        """``canonical`` with its masks in the order their first pair
+        ``(i, j)``, ``i ≠ j``, appears in row-major order."""
+        n = len(pdf)
+        t, s = pair_grid(pdf)
+        sat = [np.broadcast_to(p.eval(t, s), (n, n)) for p in canonical.space.predicates]
+        seen: dict[int, int] = {}
+        for i, j in itertools.permutations(range(n), 2):
+            seen.setdefault(sum(1 << k for k, b in enumerate(sat) if b[i, j]), len(seen))
+        order = sorted(range(canonical.n_distinct), key=lambda x: seen[canonical.masks[x]])
+        return EvidenceSet(
+            canonical.space,
+            [canonical.masks[x] for x in order],
+            canonical.counts[order],
+            n,
+            {k: canonical.vios[x] for k, x in enumerate(order)},
+        )
 
     @pytest.mark.parametrize("choose", ["max", "min"])
     @pytest.mark.parametrize("f", [F1(), F2(), F3Greedy()], ids=["f1", "f2", "f3"])
@@ -176,6 +210,13 @@ class TestSearchTreePinned:
         _, stats = adc_enum(ev, f, 0.005, choose=choose)
         assert not stats.truncated
         assert (stats.nodes, stats.f_evals) == self.PINNED[(f.name, choose)]
+
+    @pytest.mark.parametrize("choose", ["max", "min"])
+    @pytest.mark.parametrize("f", [F1(), F2(), F3Greedy()], ids=["f1", "f2", "f3"])
+    def test_canonical_nodes_and_f_evals(self, canonical, f, choose):
+        _, stats = adc_enum(canonical, f, 0.005, choose=choose)
+        assert not stats.truncated
+        assert (stats.nodes, stats.f_evals) == self.PINNED_CANONICAL[(f.name, choose)]
 
 
 class TestLimits:

@@ -1,10 +1,12 @@
-"""Local (numpy) evidence builder — the reference implementation."""
+"""Local (numpy) evidence builder — the evidence kernel."""
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import build_evidence_local, build_predicate_space
-from repro.core.predicates import Op, Predicate
+from repro.core.predicates import REPRESENTATIVE, Op, Predicate
 from repro.datasets import DATASETS, PHI1, PHI2, running_example
 
 
@@ -106,3 +108,60 @@ class TestAgainstDirectCounts:
         lt = space.id_of(Predicate("a", Op.LT, "a"))
         masks_with_lt = [m for m in ev.masks if m >> lt & 1]
         assert len(masks_with_lt) == 1
+
+
+def _pair_loop(pdf, space):
+    """Reference evidence: every ordered pair, predicate by predicate, with
+    the null rule of DESIGN.md §5 (a representative reading a null or NaN
+    is false; its complement is its NOT)."""
+    rows = pdf.to_dict("records")
+    bag: dict[int, int] = {}
+    vios: dict[int, dict[int, int]] = {}
+    for i, j in itertools.permutations(range(len(rows)), 2):
+        t, s = rows[i], rows[j]
+        m = 0
+        for k, p in enumerate(space.predicates):
+            rep = p if p.op in REPRESENTATIVE else p.complement
+            read = (t[rep.lhs], (t if rep.single_tuple else s)[rep.rhs])
+            holds = not any(pd.isna(v) for v in read) and bool(rep.eval(t, s))
+            m |= int(holds != (rep is not p)) << k
+        bag[m] = bag.get(m, 0) + 1
+        per = vios.setdefault(m, {})
+        for x in (i, j):
+            per[x] = per.get(x, 0) + 1
+    return bag, vios
+
+
+class TestAgainstPairLoop:
+    """The kernel vs a per-pair loop on small seeded relations with ints,
+    floats with None/NaN, strings with None, cross-column predicates and,
+    in the wide case, a space of several words."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_relations(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 12))
+        pools = {"i": [0, 1, 2], "f": [0.5, 1.5, np.nan, None], "s": ["a", "b", None]}
+        pdf = pd.DataFrame({
+            f"{kind}{c}": pd.Series([pools[kind][x] for x in rng.integers(0, len(pools[kind]), n)],
+                                    dtype=object if kind == "s" else None)
+            for c, kind in enumerate(rng.choice(list(pools), size=int(rng.integers(1, 6))))
+        })
+        self._check(pdf, build_predicate_space(pdf, min_overlap=0.0))
+
+    def test_wide_space(self):
+        rng = np.random.default_rng(7)
+        pdf = pd.DataFrame({f"x{c}": rng.choice([0.5, 1.5, np.nan], size=8) for c in range(6)})
+        pdf["s"] = pd.Series(["a", None, "b", "a", None, "c", "b", "a"], dtype=object)
+        pdf["t"] = pd.Series(["a", "c", None, "c", "a", "b", None, "a"], dtype=object)
+        space = build_predicate_space(pdf, min_overlap=0.0)
+        assert space.n_words >= 3
+        self._check(pdf, space)
+
+    @staticmethod
+    def _check(pdf, space):
+        ev = build_evidence_local(pdf, space, with_vios=True)
+        ev.check()
+        bag, vios = _pair_loop(pdf, space)
+        assert dict(zip(ev.masks, ev.counts.tolist())) == bag
+        assert {m: ev.vios[i] for i, m in enumerate(ev.masks)} == vios

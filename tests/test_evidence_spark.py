@@ -11,6 +11,10 @@ from pyspark.sql import functions as F
 
 from repro import synth_data
 from repro.core import (
+    F1,
+    F2,
+    adc_enum,
+    adc_miner,
     build_evidence_local,
     build_evidence_naive,
     build_evidence_spark,
@@ -20,7 +24,7 @@ from repro.core import (
 )
 from repro.core.dc import DenialConstraint
 from repro.core.evidence import RID
-from repro.core.predicates import Op, Predicate
+from repro.core.predicates import REPRESENTATIVE, Op, Predicate
 from repro.datasets import DATASETS, PHI1, PHI2, running_example
 
 P = Predicate
@@ -30,20 +34,10 @@ def _bag(ev) -> dict[int, int]:
     return dict(zip(ev.masks, ev.counts.tolist()))
 
 
-def _rows(df) -> tuple[pd.DataFrame, list[int]]:
-    """The frame's own ``(__rid, row)`` pairs, as its rows and their ids."""
-    rows = df.toPandas()
-    return rows, rows.pop(RID).tolist()
-
-
-def _vios_by_mask(ev, rids=None) -> dict[int, dict[int, int]]:
-    """Per mask, tuple → pair count; a Spark tid becomes the position of
-    its row in ``rids``, as the local reference numbers tuples."""
-    row = None if rids is None else {r: i for i, r in enumerate(rids)}
-    return {
-        ev.masks[i]: {(t if row is None else row[t]): c for t, c in v.items()}
-        for i, v in ev.vios.items()
-    }
+def _vios_by_mask(ev) -> dict[int, dict[int, int]]:
+    """Per mask, tuple → pair count; every builder numbers a tuple by its
+    row's position in the frame it read."""
+    return {ev.masks[i]: v for i, v in ev.vios.items()}
 
 
 @pytest.fixture(scope="module")
@@ -97,15 +91,14 @@ class TestFastBuilder:
 
     @staticmethod
     def _assert_vios_matches_local(spark, df, space):
-        df = with_rid(df).cache()
-        rows, rids = _rows(df)
-        assert len(set(rids)) == len(rids)
+        df = df.cache()
+        rows = df.toPandas()
         ev_s = build_evidence_spark(spark, df, space, with_vios=True)
         ev_l = build_evidence_local(rows, space, with_vios=True)
         df.unpersist()
         ev_s.check()
         assert _bag(ev_s) == _bag(ev_l)
-        assert _vios_by_mask(ev_s, rids) == _vios_by_mask(ev_l)
+        assert _vios_by_mask(ev_s) == _vios_by_mask(ev_l)
         for i, c in enumerate(ev_s.counts.tolist()):
             assert sum(ev_s.vios[i].values()) == 2 * c
 
@@ -171,6 +164,80 @@ class TestNaiveBuilder:
         assert dict(zip(ev_f.masks, ev_f.counts.tolist())) == dict(
             zip(ev_n.masks, ev_n.counts.tolist())
         )
+
+
+class TestNullsAndNaN:
+    """DESIGN.md §5: a representative (=, <, >) that reads a null or NaN is
+    false, so its complement (≠, ≥, ≤) holds on that pair."""
+
+    ROWS = [(1.0, 2.0, "x"), (None, 1.0, "y"), (float("nan"), 3.0, None), (2.0, float("nan"), "x")]
+    SCHEMA = "a double, b double, s string"
+
+    @pytest.fixture(scope="class")
+    def case(self, spark):
+        pdf = pd.DataFrame(self.ROWS, columns=["a", "b", "s"])
+        assert pdf["a"].isna().sum() == 2  # None and NaN both read as NaN
+        space = build_predicate_space(pdf, include_pairs=[("a", "b")])
+        return pdf, space, spark.createDataFrame(self.ROWS, self.SCHEMA)
+
+    def test_builders_agree_and_check(self, spark, case):
+        pdf, space, df = case
+        assert df.where(F.col("a").isNull()).count() == 1
+        assert df.where(F.isnan("a")).count() == 1
+        for with_vios in (False, True):
+            ev_s = build_evidence_spark(spark, df, space, with_vios=with_vios)
+            ev_l = build_evidence_local(pdf, space, with_vios=with_vios)
+            ev_s.check()
+            ev_l.check()
+            assert _bag(ev_s) == _bag(ev_l)
+            if with_vios:
+                assert _vios_by_mask(ev_s) == _vios_by_mask(ev_l)
+
+    def test_rule(self, case):
+        """Rows 1 and 2 read a null and a NaN in ``a`` and one null in ``s``:
+        on both their pairs every representative is false and every
+        complement holds."""
+        pdf, space, _ = case
+        ev = build_evidence_local(pdf.iloc[[1, 2]], space)
+        assert ev.n_distinct == 2
+        same = [p for p in space.predicates if p.lhs == p.rhs and p.lhs in "as" and not p.single_tuple]
+        assert len(same) == 8
+        for m in ev.masks:
+            for p in same:
+                assert (m >> space.id_of(p) & 1) == (p.op not in REPRESENTATIVE), p
+
+    @pytest.mark.parametrize("f", [F1(), F2()], ids=["f1", "f2"])
+    def test_miner_runs(self, spark, case, f):
+        _, space, df = case
+        res = adc_miner(spark, df, f, 0.1)
+        res.evidence.check()
+        assert res.n_sampled == 4
+        res = adc_miner(spark, df, f, 0.1, space=space)
+        res.evidence.check()
+
+
+class TestCanonicalOrder:
+    """Every builder returns masks by (count descending, mask ascending), so
+    ADCEnum's tree depends on neither the builder nor the partitioning."""
+
+    def test_same_masks_and_nodes(self, spark):
+        pdf = DATASETS["airport"](40, seed=4).pdf
+        space = build_predicate_space(pdf)
+        one = spark.createDataFrame(pdf).coalesce(1)
+        eight = spark.createDataFrame(pdf).repartition(8)
+        evs = [
+            build_evidence_spark(spark, one, space, with_vios=True),
+            build_evidence_spark(spark, eight, space, with_vios=True),
+            build_evidence_naive(spark, eight, space, with_vios=True),
+        ]
+        order = [(-int(c), m) for m, c in zip(evs[0].masks, evs[0].counts)]
+        assert order == sorted(order)
+        for ev in evs[1:]:
+            assert ev.masks == evs[0].masks
+            assert ev.counts.tolist() == evs[0].counts.tolist()
+        for f in (F1(), F2()):
+            nodes = {adc_enum(ev, f, 0.01)[1].nodes for ev in evs}
+            assert len(nodes) == 1
 
 
 class TestOracleViolationCounts:

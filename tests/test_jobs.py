@@ -65,8 +65,9 @@ class TestFigureJobs:
         out = fig7_total_runtimes.run(spark, n=40, seed=0, datasets=("airport",))
         r = out.iloc[0]
         assert r["adcminer_total_s"] > 0
-        # naive evidence must not be faster than the Catalyst builder
-        assert r["afastdc_evidence_s"] >= r["dcfinder_evidence_s"] * 0.5
+        # the paper's claim: the naive (AFASTDC) builder is slower than the
+        # fast one (about 20x at this size)
+        assert r["afastdc_evidence_s"] > r["dcfinder_evidence_s"]
 
     def test_fig8(self, spark):
         out = fig8_functions_runtime.run(spark, n=50, seed=0, datasets=("airport",))
