@@ -89,6 +89,8 @@ class ADCEnum:
         # groups[e] = other predicate ids differing from e only by operator
         groups = groups if groups is not None else ev.space.group_others
         self.group_mask = [sum(1 << g for g in groups[e]) for e in range(self.n_elements)]
+        # f's check as one integer compare on the uncovered weight, if f has one
+        self.max_weight = f.max_passing_weight(ev, eps)
         self.max_results = max_results
         self.timeout_s = timeout_s
         self.results: list[frozenset[int]] = []
@@ -116,6 +118,8 @@ class ADCEnum:
 
     def _passes(self, bits: int, weight: int) -> bool:
         self.stats.f_evals += 1
+        if self.max_weight is not None:
+            return weight <= self.max_weight
         return self.f.passes(self.ev, UncoveredView(_Bits(bits), weight), self.eps)
 
     def _is_minimal(self, S: list[int]) -> bool:

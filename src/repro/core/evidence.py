@@ -19,9 +19,12 @@ Builders:
 - :func:`build_evidence_spark` — the production entry for a Spark frame:
   one Arrow collect of its rows, then the kernel. The evidence is collected
   to the driver anyway, and the collect moves O(n) rows, not O(n²) pairs.
+  Given a rule instead of a predicate space, it builds the space from the
+  collected rows, so a mining call runs one Spark action.
 - :func:`build_evidence_naive` — AFASTDC-style [11] baseline: a Catalyst
   self cross-join with a per-pair Python UDF, i.e. tuple-at-a-time
-  evaluation. Used only for the Figure-7 runtime comparison.
+  evaluation under the kernel's null and NaN rule. Used only for the
+  Figure-7 runtime comparison.
 
 All three take ``with_vios``: it also fills the ``vios`` structure of
 Figure 2 (per evidence set, per tuple pair counts, needed by f2 and
@@ -36,7 +39,7 @@ row order or partitioning produced the bag.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -240,16 +243,24 @@ def build_evidence_local(
 # -- Spark entry points ---------------------------------------------------------
 
 
+#: a predicate space, or the rule that builds one from the collected rows
+SpaceOrRule = PredicateSpace | Callable[[pd.DataFrame], PredicateSpace]
+
+
 def build_evidence_spark(
-    spark: SparkSession, df: DataFrame, space: PredicateSpace, *, with_vios: bool = False
+    spark: SparkSession, df: DataFrame, space: SpaceOrRule, *, with_vios: bool = False
 ) -> EvidenceSet:
     """The evidence of a Spark frame: one Arrow collect of its rows, then the
     kernel on the driver (see module doc). Tuple ids are row positions in
-    the collected order."""
-    return build_evidence_local(df.drop(RID).toPandas(), space, with_vios=with_vios)
+    the collected order. When ``space`` is a rule, the space is built from
+    every collected row, so that collect is the only Spark action."""
+    pdf = df.drop(RID).toPandas()
+    if not isinstance(space, PredicateSpace):
+        space = space(pdf)
+    return build_evidence_local(pdf, space, with_vios=with_vios)
 
 
-def build_vios_spark(spark: SparkSession, df: DataFrame, space: PredicateSpace) -> EvidenceSet:
+def build_vios_spark(spark: SparkSession, df: DataFrame, space: SpaceOrRule) -> EvidenceSet:
     """:func:`build_evidence_spark` with ``with_vios``: the bag and ``vios``
     from one pass.
 
@@ -346,19 +357,30 @@ def build_evidence_naive(
     Deliberately tuple-at-a-time (no columnar bit packing) to serve as the
     slow baseline of the Figure-7 comparison. Masks are returned as hex
     strings to avoid UDF bigint overflow for spaces wider than 63
-    predicates. It compares Python values, so the null and NaN rule of the
-    kernel (DESIGN.md §5) does not hold here.
+    predicates. It follows the kernel's rule (DESIGN.md §5): it evaluates
+    the representative of each complement pair, reads a None or NaN side
+    as false, and takes ``≠``, ``≥``, ``≤`` as its NOT.
     """
     attrs = [c for c in df.columns if c != RID]
-    preds = list(space.predicates)
+    # (representative, whether the bit is its NOT) per predicate
+    plan = [
+        (p, False) if p.op in REPRESENTATIVE else (p.complement, True)
+        for p in space.predicates
+    ]
+
+    def holds(rep: Predicate, t: dict, s: dict) -> bool:
+        a, b = t[rep.lhs], (t if rep.single_tuple else s)[rep.rhs]
+        if a is None or b is None or a != a or b != b:  # a null or NaN side
+            return False
+        return bool(rep.eval(t, s))
 
     @F.udf(returnType=T.StringType())
     def sat_hex(lrow, rrow):
         t = dict(zip(attrs, lrow))
         s = dict(zip(attrs, rrow))
         m = 0
-        for i, p in enumerate(preds):
-            if p.eval(t, s):
+        for i, (rep, negate) in enumerate(plan):
+            if holds(rep, t, s) != negate:
                 m |= 1 << i
         return format(m, "x")
 

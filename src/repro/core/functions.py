@@ -13,6 +13,9 @@ tests in ``tests/test_functions.py`` verify both.
   function f3 (Figure 2): tuples sorted by violation degree are removed
   until the covered-violation counter reaches the total.
 
+F1 and F1' (``repro.sampling.threshold``) read only the uncovered weight
+and are monotone in it, so :meth:`ApproximationFunction.max_passing_weight`
+turns their check into one integer compare (DESIGN.md §5).
 ``F2``/``F3Greedy.passes`` apply the Proposition 5.3 prefilter: when
 ``1 − f1 > 2ε`` neither can pass, and f1 is computable from the uncovered
 weights alone, without the ``vios`` structure.
@@ -47,6 +50,13 @@ class ApproximationFunction:
         """Whether ``1 − f(D,S_φ) ≤ ε``."""
         return 1.0 - self.score(ev, uncovered) <= eps + _TOL
 
+    def max_passing_weight(self, ev: EvidenceSet, eps: float) -> int | None:
+        """The largest uncovered weight that passes, when f reads only the
+        uncovered weight and is monotone in it: then ``passes`` holds iff
+        the weight is at most this (−1: no weight passes). ``None`` when
+        that is not known; the caller must then call :meth:`passes`."""
+        return None
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
 
@@ -75,6 +85,20 @@ def _uncovered_weight(ev: EvidenceSet, uncovered: Iterable[int]) -> int:
     return int(sum(int(ev.counts[i]) for i in uncovered))
 
 
+def weight_threshold(f: ApproximationFunction, ev: EvidenceSet, eps: float) -> int:
+    """The largest weight in ``[0, total_pairs]`` at which ``f.passes``
+    holds (−1 if none), by a binary search over ``f.passes`` itself; exact
+    for an f whose passing weights are a prefix of that range."""
+    lo, hi = -1, ev.total_pairs
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if f.passes(ev, UncoveredView((), mid), eps):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def one_minus_f1(ev: EvidenceSet, uncovered: Iterable[int]) -> float:
     """Violating-pair fraction — shared by F1 and the Prop. 5.3 prefilter."""
     if ev.total_pairs == 0:
@@ -89,6 +113,9 @@ class F1(ApproximationFunction):
 
     def score(self, ev: EvidenceSet, uncovered: Iterable[int]) -> float:
         return 1.0 - one_minus_f1(ev, uncovered)
+
+    def max_passing_weight(self, ev: EvidenceSet, eps: float) -> int:
+        return weight_threshold(self, ev, eps)
 
 
 def _require_vios(ev: EvidenceSet) -> dict[int, dict[int, int]]:

@@ -2,13 +2,19 @@
 
 ``ADCMiner(R, D, f, ε)``:
 
-1. ``GeneratePSpace``  — :func:`repro.core.predicates.build_predicate_space`
-2. ``Sample``          — uniform tuple sample (``DataFrame.sample``)
+1. ``Sample``          — uniform tuple sample (``DataFrame.sample``)
+2. ``GeneratePSpace``  — :func:`repro.core.predicates.build_predicate_space`
 3. ``ConstructEvidence`` — :func:`repro.core.evidence.build_evidence_spark`
 4. ``ADCEnum``         — :func:`repro.core.enumerate.adc_enum`
 
+The fast path runs one Spark action: the evidence pass collects the
+(sampled) frame once and, when no space is given, builds ``P_R`` from
+every collected row before the kernel runs — in sample mode, from the
+sample (DESIGN.md §5).
+
 Per-stage wall-clock timings are recorded — the paper's runtime figures
-(6, 7, 8, 12) all decompose along these stages.
+(6, 7, 8, 12) all decompose along these stages. ``evidence`` excludes the
+time spent building ``P_R`` inside the pass, which is ``predicate_space``.
 """
 from __future__ import annotations
 
@@ -31,11 +37,6 @@ from .evidence import (
 from .functions import ApproximationFunction
 from .predicates import PredicateSpace, build_predicate_space
 from .searchmc import search_mc
-
-#: Rows read to build the predicate space when none is given (the 30%
-#: overlap rule of :func:`build_predicate_space` needs only a sample).
-_SPACE_SAMPLE_ROWS = 2000
-
 
 @dataclass
 class MinerResult:
@@ -72,17 +73,20 @@ def adc_miner(
     ``alpha`` (with the f1 family) switches acceptance on the sample to the
     corrected function f1' of §7.2 so that mined DCs hold on the full
     database w.r.t. ``eps`` with probability ≥ 1−alpha.
+    ``space=None`` builds ``P_R`` from every row of the (sampled) frame.
     ``builder``: ``fast`` (the numpy tile kernel over one collect of the
-    sample) or ``naive`` (AFASTDC-style UDF). ``enumerator``: ``adcenum``
-    or ``searchmc`` (baseline).
+    sample) or ``naive`` (AFASTDC-style UDF; without a space it collects
+    the sample once more for ``P_R``). ``enumerator``: ``adcenum`` or
+    ``searchmc`` (baseline).
     """
-    timings: dict[str, float] = {}
+    timings = {"predicate_space": 0.0}
 
-    t0 = time.perf_counter()
-    if space is None:
-        head = df.limit(_SPACE_SAMPLE_ROWS).toPandas()
-        space = build_predicate_space(head)
-    timings["predicate_space"] = time.perf_counter() - t0
+    def make_space(pdf: pd.DataFrame) -> PredicateSpace:
+        # resolved in this module at call time, so adcbench's tracer sees it
+        t0 = time.perf_counter()
+        out = build_predicate_space(pdf)
+        timings["predicate_space"] = time.perf_counter() - t0
+        return out
 
     t0 = time.perf_counter()
     sampled = df if sample_fraction is None else df.sample(
@@ -93,10 +97,12 @@ def adc_miner(
     t0 = time.perf_counter()
     if builder == "fast":
         build = build_vios_spark if f.needs_vios else build_evidence_spark
-        ev = build(spark, sampled, space)
+        ev = build(spark, sampled, space if space is not None else make_space)
     else:
+        if space is None:
+            space = make_space(sampled.toPandas())
         ev = build_evidence_naive(spark, sampled, space, with_vios=f.needs_vios)
-    timings["evidence"] = time.perf_counter() - t0
+    timings["evidence"] = time.perf_counter() - t0 - timings["predicate_space"]
 
     eff_f = f
     if alpha is not None and sample_fraction is not None and f.name == "f1":
@@ -112,7 +118,7 @@ def adc_miner(
     return MinerResult(
         dcs=dcs,
         hitting_sets=hitting_sets,
-        space=space,
+        space=ev.space,
         evidence=ev,
         enum_stats=stats,
         timings=timings,

@@ -165,12 +165,20 @@ def is_numeric_dtype(s: pd.Series) -> bool:
     return pd.api.types.is_numeric_dtype(s) or pd.api.types.is_datetime64_any_dtype(s)
 
 
-def value_overlap(a: pd.Series, b: pd.Series) -> float:
-    """Fraction of common distinct values relative to the smaller domain."""
-    va, vb = set(a.dropna().unique()), set(b.dropna().unique())
+def _domain(s: pd.Series) -> set:
+    """The distinct non-null values of a column."""
+    return set(s.dropna().unique())
+
+
+def _domain_overlap(va: set, vb: set) -> float:
     if not va or not vb:
         return 0.0
     return len(va & vb) / min(len(va), len(vb))
+
+
+def value_overlap(a: pd.Series, b: pd.Series) -> float:
+    """Fraction of common distinct values relative to the smaller domain."""
+    return _domain_overlap(_domain(a), _domain(b))
 
 
 def build_predicate_space(
@@ -204,6 +212,7 @@ def build_predicate_space(
             preds.append(Predicate(a, op, a))
 
     forced = {tuple(p) for p in (include_pairs or ())}
+    domains = {c: _domain(pdf[c]) for c in attrs} if cross_column else {}
     if cross_column or forced:
         for i, a in enumerate(attrs):
             for b in attrs[i + 1 :]:
@@ -211,7 +220,7 @@ def build_predicate_space(
                     continue
                 pair_ok = (a, b) in forced or (b, a) in forced
                 if not pair_ok and cross_column:
-                    pair_ok = value_overlap(pdf[a], pdf[b]) >= min_overlap
+                    pair_ok = _domain_overlap(domains[a], domains[b]) >= min_overlap
                 if not pair_ok:
                     continue
                 for op in ops_for(a, b):

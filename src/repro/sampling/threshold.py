@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..core.evidence import EvidenceSet
-from ..core.functions import ApproximationFunction, one_minus_f1, _TOL
+from ..core.functions import ApproximationFunction, _TOL, one_minus_f1, weight_threshold
 from .estimator import normal_ci_halfwidth
 
 
@@ -52,3 +52,11 @@ class F1Prime(ApproximationFunction):
     def passes(self, ev: EvidenceSet, uncovered: Iterable[int], eps: float) -> bool:
         phat = one_minus_f1(ev, uncovered)
         return accept_on_sample(eps, phat, ev.total_pairs, self.alpha)
+
+    def max_passing_weight(self, ev: EvidenceSet, eps: float) -> int | None:
+        """A pass needs ``p̂ + CI-term ≤ ε + tol``, so ``p̂ ≤ ε + tol``; below
+        ½ the left side grows with p̂, so the passing weights are a prefix
+        when ``ε + tol < ½``. Otherwise ``None``."""
+        if eps + _TOL >= 0.5:
+            return None
+        return weight_threshold(self, ev, eps)

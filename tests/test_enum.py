@@ -20,6 +20,7 @@ from repro.core.evidence import EvidenceSet
 from repro.core.functions import ApproximationFunction
 from repro.core.predicates import pair_grid
 from repro.datasets import DATASETS, PHI1, running_example
+from repro.sampling.threshold import F1Prime
 
 
 class _FakeSpace:
@@ -217,6 +218,21 @@ class TestSearchTreePinned:
         _, stats = adc_enum(canonical, f, 0.005, choose=choose)
         assert not stats.truncated
         assert (stats.nodes, stats.f_evals) == self.PINNED_CANONICAL[(f.name, choose)]
+
+    #: f1' (§7.2) on the same evidence, read as a sample: (alpha, choose) ->
+    #: (nodes, f_evals), canonical order
+    PINNED_F1PRIME = {
+        (0.05, "max"): (51560, 104632),
+        (0.05, "min"): (10323, 39972),
+        (0.01, "max"): (51956, 100774),
+        (0.01, "min"): (9060, 34025),
+    }
+
+    @pytest.mark.parametrize("alpha, choose", sorted(PINNED_F1PRIME))
+    def test_f1prime_nodes_and_f_evals(self, canonical, alpha, choose):
+        _, stats = adc_enum(canonical, F1Prime(alpha), 0.005, choose=choose)
+        assert not stats.truncated
+        assert (stats.nodes, stats.f_evals) == self.PINNED_F1PRIME[(alpha, choose)]
 
 
 class TestLimits:

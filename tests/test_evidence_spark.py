@@ -206,6 +206,20 @@ class TestNullsAndNaN:
             for p in same:
                 assert (m >> space.id_of(p) & 1) == (p.op not in REPRESENTATIVE), p
 
+    @pytest.mark.parametrize("bad", [None, float("nan")], ids=["null", "nan"])
+    def test_naive_builder_follows_the_rule(self, spark, bad):
+        """The naive UDF reads a None or NaN side as false, like the kernel."""
+        df = spark.createDataFrame([(1.0, "x"), (bad, None), (2.0, "x")], "a double, s string")
+        pdf = df.toPandas()
+        space = build_predicate_space(pdf)
+        for with_vios in (False, True):
+            ev_n = build_evidence_naive(spark, df, space, with_vios=with_vios)
+            ev_l = build_evidence_local(pdf, space, with_vios=with_vios)
+            ev_n.check()
+            assert _bag(ev_n) == _bag(ev_l)
+            if with_vios:
+                assert _vios_by_mask(ev_n) == _vios_by_mask(ev_l)
+
     @pytest.mark.parametrize("f", [F1(), F2()], ids=["f1", "f2"])
     def test_miner_runs(self, spark, case, f):
         _, space, df = case

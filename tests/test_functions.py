@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core import F1, F2, F3Greedy, build_evidence_local, build_predicate_space
 from repro.core.functions import UncoveredView, one_minus_f1
 from repro.datasets import PHI1, PHI2, running_example
+from repro.sampling.threshold import F1Prime
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +203,37 @@ class TestAxioms:
             direct = 1.0 - f.score(ev, unc) <= eps + 1e-12
             assert f.passes(ev, unc, eps) == direct
             assert f.passes(ev, view, eps) == direct
+
+
+class TestWeightThreshold:
+    """``max_passing_weight`` is exact: ``passes`` holds at a weight iff the
+    weight is at most the threshold."""
+
+    @pytest.fixture(scope="class", params=["running-example", "food-40"])
+    def ev(self, request):
+        if request.param == "running-example":
+            pdf = running_example()
+        else:
+            from repro.datasets import DATASETS
+
+            pdf = DATASETS["food"](40, seed=0).pdf
+        return build_evidence_local(pdf, build_predicate_space(pdf))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.001, 0.005, 0.01, 0.05, 0.2, 0.45])
+    @pytest.mark.parametrize(
+        "f", [F1(), F1Prime(0.01), F1Prime(0.05)], ids=["f1", "f1'-0.01", "f1'-0.05"]
+    )
+    def test_agrees_with_passes(self, ev, f, eps):
+        limit = f.max_passing_weight(ev, eps)
+        total = ev.total_pairs
+        assert -1 <= limit <= total
+        window = range(max(0, limit - 40), min(total, limit + 40) + 1)
+        for w in [0, total, *window]:
+            assert f.passes(ev, UncoveredView((), w), eps) == (w <= limit), w
+
+    def test_none_where_not_weight_monotone(self, ctx):
+        _, _, ev = ctx
+        assert F2().max_passing_weight(ev, 0.01) is None
+        assert F3Greedy().max_passing_weight(ev, 0.01) is None
+        assert F1Prime(0.05).max_passing_weight(ev, 0.5) is None
+        assert F1().max_passing_weight(ev, 0.5) == ev.total_pairs // 2

@@ -1,4 +1,6 @@
 """End-to-end ADCMiner pipeline (Figure 1)."""
+import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core import (
@@ -12,6 +14,7 @@ from repro.core import (
     hitting_sets_to_dcs,
     with_rid,
 )
+from repro.core.predicates import Op, Predicate
 from repro.datasets import DATASETS, PHI1, add_noise, running_example
 from repro.metrics import g_recall, prf
 
@@ -40,11 +43,16 @@ class TestSparkPipeline:
         assert res_s.dc_set == {dc.predicates for dc in local}
 
     def test_timings_recorded(self, spark, re_df, re_space):
-        res = adc_miner(spark, re_df, F1(), 0.05, space=re_space)
-        assert set(res.timings) == {
-            "predicate_space", "sampling", "evidence", "enumeration", "total"
-        }
-        assert all(v >= 0 for v in res.timings.values())
+        """Five keys; ``total`` is the sum of the four stages, so a space
+        built inside the evidence pass is counted once."""
+        for space in (re_space, None):
+            t = adc_miner(spark, re_df, F1(), 0.05, space=space).timings
+            assert set(t) == {"predicate_space", "sampling", "evidence", "enumeration", "total"}
+            assert all(v >= 0 for v in t.values())
+            assert t["total"] == pytest.approx(
+                t["predicate_space"] + t["sampling"] + t["evidence"] + t["enumeration"]
+            )
+            assert (t["predicate_space"] == 0) == (space is not None)
 
     def test_space_inferred_when_missing(self, spark, re_df):
         res = adc_miner(spark, re_df, F1(), 0.05)
@@ -61,19 +69,41 @@ class TestSparkPipeline:
     def test_one_evidence_pass(self, spark, re_df, re_space, monkeypatch, f):
         """The fast path runs one builder call: ``build_vios_spark`` when the
         function needs vios (adcbench traces it as its vios layer), else
-        ``build_evidence_spark``."""
+        ``build_evidence_spark``. Without a space, the pass reaches
+        ``build_predicate_space`` once, through the miner's namespace."""
         from repro.core import miner
 
         calls = []
-        for name in ("build_evidence_spark", "build_vios_spark"):
+        for name in ("build_evidence_spark", "build_vios_spark", "build_predicate_space"):
             def spy(*args, _name=name, _fn=getattr(miner, name), **kw):
                 calls.append(_name)
                 return _fn(*args, **kw)
 
             monkeypatch.setattr(miner, name, spy)
-        res = adc_miner(spark, re_df, f, 0.2, space=re_space)
-        assert calls == ["build_vios_spark" if f.needs_vios else "build_evidence_spark"]
-        assert (res.evidence.vios is not None) == f.needs_vios
+        build = "build_vios_spark" if f.needs_vios else "build_evidence_spark"
+        for space, expected in ((re_space, [build]), (None, [build, "build_predicate_space"])):
+            calls.clear()
+            res = adc_miner(spark, re_df, f, 0.2, space=space)
+            assert calls == expected
+            assert (res.evidence.vios is not None) == f.needs_vios
+
+    @pytest.mark.parametrize("fraction", [None, 0.5], ids=["full", "sampled"])
+    @pytest.mark.parametrize("f", [F1(), F2()], ids=["f1", "f2"])
+    def test_one_spark_job_per_call(self, spark, f, fraction):
+        """A call without a space runs one Spark job: the collect of the
+        (sampled) frame, from which both ``P_R`` and the evidence come."""
+        df = spark.createDataFrame(DATASETS["airport"](60, seed=0).pdf).cache()
+        df.count()
+        sc = spark.sparkContext
+        group = f"one-call-{f.name}-{fraction}"
+        sc.setJobGroup(group, "one adc_miner call")
+        try:
+            adc_miner(spark, df, f, 0.05, sample_fraction=fraction, seed=1,
+                      alpha=0.05, timeout_s=60)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            df.unpersist()
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
 
     def test_searchmc_backend_agrees(self, spark, re_df, re_space):
         a = adc_miner(spark, re_df, F1(), 0.05, space=re_space)
@@ -134,6 +164,48 @@ class TestSparkPipeline:
             unc = [i for i, m in enumerate(ev.masks) if (m & sm) == 0]
             assert F1().passes(ev, unc, 0.01)
         assert plain.dcs  # the plain run is exercised too
+
+
+class TestSpaceFromCollectedRows:
+    """``P_R`` comes from every row the evidence pass collects."""
+
+    @staticmethod
+    def frame(n=2400):
+        """Sorted on ``a``. ``b`` takes the 400 values 2000..2399 on every
+        stretch of rows; ``a`` reaches them only past row 2000, so the
+        (a, b) overlap is 0 on the first 2000 rows and 1 on all of them."""
+        a = np.arange(n, dtype=np.int64)
+        return pd.DataFrame({"a": a, "b": 2000 + a % 400})
+
+    def test_independent_of_row_order(self, spark):
+        pdf = self.frame()
+        shuffled = pdf.sample(frac=1.0, random_state=0).reset_index(drop=True)
+        spaces = [
+            mine(spark, x, F1(), 0.01, max_results=1, timeout_s=60).space.predicates
+            for x in (pdf, shuffled)
+        ]
+        assert spaces[0] == spaces[1]
+        assert Predicate("a", Op.EQ, "b") in spaces[0]
+
+    def test_sample_mode_uses_the_sample(self, spark):
+        """``a`` and ``b`` share 30 values over 480 rows and hold unique
+        values on the other 120: the (a, b) overlap is 30/150 on all rows
+        and about 30/66 on a 30% sample, so only the sample's ``P_R`` has
+        the cross pair."""
+        i = np.arange(600)
+        pdf = pd.DataFrame({
+            "a": np.where(i < 480, i % 30, 1000 + i),
+            "b": np.where(i < 480, i % 30, 5000 + i),
+        })
+        df = spark.createDataFrame(pdf).cache()
+        sample = df.sample(withReplacement=False, fraction=0.3, seed=3).toPandas()
+        res = adc_miner(spark, df, F1(), 0.01, sample_fraction=0.3, seed=3, timeout_s=60)
+        df.unpersist()
+        assert res.n_sampled == len(sample)
+        assert res.space.predicates == build_predicate_space(sample).predicates
+        cross = Predicate("a", Op.EQ, "b")
+        assert cross in res.space.predicates
+        assert cross not in build_predicate_space(pdf).predicates
 
 
 def mine(spark, pdf, f, eps, **kw):
