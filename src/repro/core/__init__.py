@@ -1,6 +1,6 @@
 """The paper's primary contribution: ADC mining (predicates, evidence sets,
 approximation functions, ADCEnum, the SearchMC baseline, ADCMiner)."""
-from .dc import DenialConstraint, violating_pairs_df
+from .dc import DenialConstraint
 from .enumerate import ADCEnum, adc_enum, hitting_sets_to_dcs
 from .evidence import (
     EvidenceSet,
@@ -20,5 +20,5 @@ __all__ = [
     "PredicateSpace", "adc_enum", "adc_miner", "adc_miner_local",
     "build_evidence_local", "build_evidence_naive", "build_evidence_spark",
     "build_predicate_space", "hitting_sets_to_dcs",
-    "one_minus_f1", "search_mc", "violating_pairs_df", "with_rid",
+    "one_minus_f1", "search_mc", "with_rid",
 ]

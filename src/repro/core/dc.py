@@ -8,17 +8,14 @@ of some predicate is in ``Sat(t,t')``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
 
-from .evidence import _pairs, _Side
-from .predicates import Op, Predicate, pair_grid
+from .predicates import COMPLEMENT, Op, Predicate, pair_grid
 
-_SQL_OP = {Op.EQ: "=", Op.NE: "<>", Op.LT: "<", Op.LE: "<=", Op.GT: ">", Op.GE: ">="}
+#: SQL operator of each representative (``=``, ``<``, ``>``)
+_SQL_OP = {Op.EQ: "=", Op.LT: "<", Op.GT: ">"}
 
 
 @dataclass(frozen=True)
@@ -52,23 +49,22 @@ class DenialConstraint:
         body = " ∧ ".join(str(p) for p in self.sorted_predicates())
         return f"¬({body})"
 
-    # -- evaluation back-ends -------------------------------------------------
-
-    def violation_condition(self, left: str = "l", right: str = "r") -> Column:
-        """Spark Column: the pair (aliased ``left``/``right``) violates the DC
-        (satisfies every predicate)."""
-        t, s = _Side(left), _Side(right)
-        return reduce(Column.__and__, [p.eval(t, s) for p in self.sorted_predicates()])
+    # -- violation counters ---------------------------------------------------
 
     def violation_sql(self, left: str = "t1", right: str = "t2") -> str:
-        """SQL conjunction for the DuckDB oracle (same pair semantics).
+        """SQL conjunction for the DuckDB oracle, under the rule of
+        :meth:`Predicate.eval`: ``=``, ``<``, ``>`` bare (a NULL conjunct
+        already drops the pair) and ``≠``, ``≥``, ``≤`` as
+        ``NOT COALESCE(<representative>, FALSE)``. DuckDB reads a pandas NaN
+        as NULL.
 
         Written independently of :meth:`Predicate.eval` on purpose: the
         oracle must not share the evaluator it checks."""
         terms = []
         for p in self.sorted_predicates():
-            rhs_alias = left if p.single_tuple else right
-            terms.append(f"{left}.{p.lhs} {_SQL_OP[p.op]} {rhs_alias}.{p.rhs}")
+            op = p.op if p.op in _SQL_OP else COMPLEMENT[p.op]
+            term = f"{left}.{p.lhs} {_SQL_OP[op]} {left if p.single_tuple else right}.{p.rhs}"
+            terms.append(term if op is p.op else f"NOT COALESCE({term}, FALSE)")
         return " AND ".join(terms)
 
     def violating_pairs_pandas(self, pdf: pd.DataFrame) -> int:
@@ -80,17 +76,3 @@ class DenialConstraint:
             viol &= p.eval(t, s)
         np.fill_diagonal(viol, False)
         return int(viol.sum())
-
-
-def violating_pairs_df(df: DataFrame, dc: DenialConstraint) -> DataFrame:
-    """One-row DataFrame ``[n_violations]`` — violating ordered pairs of
-    ``dc`` in ``df``, computed as a Catalyst cross-join scan over the
-    ``__rid`` column.
-
-    This is the direct (evidence-free) violation counter; tests cross-check
-    it against both the evidence-set route and the DuckDB oracle.
-    """
-    return (
-        _pairs(df).where(dc.violation_condition("l", "r"))
-        .agg(F.count(F.lit(1)).alias("n_violations"))
-    )

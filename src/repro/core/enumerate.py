@@ -13,9 +13,9 @@ Implements Figures 3–5 of the paper: the MMCS algorithm of Murakami & Uno
   ``cand`` (paper §6.2; ``choose="min"`` reproduces [32] for Figure 10).
 
 With ``eps=0`` and ``F1`` the algorithm degenerates to exact MMCS — tests
-exploit this. ``groups=None`` uses ``ev.space.group_others``; empty groups
-turn the DC-specific pruning off, yielding a generic minimal-approximate-
-hitting-set enumerator (paper contribution 2).
+exploit this. ``RemoveRedundantPreds`` reads ``ev.space.group_others``; a
+space whose groups are empty turns the DC-specific pruning off, yielding a
+generic minimal-approximate-hitting-set enumerator (paper contribution 2).
 
 All sets are Python-int bitsets, as in MMCS and FastADC: ``uncov``,
 ``canHit`` and ``crit[e]`` over evidence ids, ``cand`` over predicate ids,
@@ -74,8 +74,6 @@ class ADCEnum:
         eps: float,
         *,
         choose: str = "max",
-        groups: list[tuple[int, ...]] | None = None,
-        n_elements: int | None = None,
         max_results: int | None = None,
         timeout_s: float | None = None,
     ):
@@ -85,10 +83,9 @@ class ADCEnum:
         if choose not in ("max", "min"):
             raise ValueError("choose must be 'max' or 'min'")
         self.sign = 1 if choose == "max" else -1  # the pivot maximizes sign·|F ∩ cand|
-        self.n_elements = n_elements if n_elements is not None else len(ev.space)
-        # groups[e] = other predicate ids differing from e only by operator
-        groups = groups if groups is not None else ev.space.group_others
-        self.group_mask = [sum(1 << g for g in groups[e]) for e in range(self.n_elements)]
+        self.n_elements = len(ev.space)
+        # group_mask[e]: the other predicates differing from e only by operator
+        self.group_mask = [sum(1 << g for g in others) for others in ev.space.group_others]
         # f's check as one integer compare on the uncovered weight, if f has one
         self.max_weight = f.max_passing_weight(ev, eps)
         self.max_results = max_results

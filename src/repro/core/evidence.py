@@ -22,9 +22,9 @@ Builders:
   Given a rule instead of a predicate space, it builds the space from the
   collected rows, so a mining call runs one Spark action.
 - :func:`build_evidence_naive` — AFASTDC-style [11] baseline: a Catalyst
-  self cross-join with a per-pair Python UDF, i.e. tuple-at-a-time
-  evaluation under the kernel's null and NaN rule. Used only for the
-  Figure-7 runtime comparison.
+  self cross-join with a per-pair Python UDF that calls
+  :meth:`~repro.core.predicates.Predicate.eval` per predicate, i.e.
+  tuple-at-a-time evaluation. Used only for the Figure-7 runtime comparison.
 
 All three take ``with_vios``: it also fills the ``vios`` structure of
 Figure 2 (per evidence set, per tuple pair counts, needed by f2 and
@@ -51,7 +51,7 @@ from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from .predicates import REPRESENTATIVE, Predicate, PredicateSpace, is_numeric_dtype
+from .predicates import PY_OP, REPRESENTATIVE, Predicate, PredicateSpace, is_numeric_dtype
 
 RID = "__rid"
 
@@ -132,7 +132,8 @@ def _encode(pdf: pd.DataFrame) -> dict[str, np.ndarray]:
     against one code table they all share, so equal values get equal codes
     in every column and cross-column equality still holds; the codes keep
     the values' order where the values order among each other. A null
-    becomes NaN, which every comparison reads as false (DESIGN.md §5).
+    becomes NaN, which every raw comparison reads as false: that is the
+    rule of :meth:`Predicate.eval` with no extra pass over the tile.
     """
     n = len(pdf)
     cols = {c: pdf[c].to_numpy() for c in pdf.columns if is_numeric_dtype(pdf[c])}
@@ -160,7 +161,8 @@ def _keys(cols, plan, flip, ts: slice, ss: slice, keep: np.ndarray) -> np.ndarra
     tmp = np.empty(keep.shape, dtype=np.uint8)
     with np.errstate(invalid="ignore"):  # NaN compares false, silently
         for rep, bits in plan.items():
-            sat = np.asarray(rep.eval(t, s), dtype=bool).view(np.uint8)
+            right = t if rep.single_tuple else s
+            sat = np.asarray(PY_OP[rep.op](t[rep.lhs], right[rep.rhs]), dtype=bool).view(np.uint8)
             for k in bits:
                 np.left_shift(sat, k % 8, out=tmp)
                 np.bitwise_or(by[k // 8], tmp, out=by[k // 8])
@@ -283,19 +285,6 @@ def with_rid(df: DataFrame) -> DataFrame:
     return df.withColumn(RID, F.monotonically_increasing_id())
 
 
-class _Side:
-    """One side of the pair self-join as the ``name → Column`` mapping
-    :meth:`Predicate.eval` reads: ``_Side("l")["A"]`` is ``F.col("l.`A`")``."""
-
-    __slots__ = ("alias",)
-
-    def __init__(self, alias: str):
-        self.alias = alias
-
-    def __getitem__(self, name: str) -> Column:
-        return F.col(f"{self.alias}.{_quote(name)}")
-
-
 def _pairs(df: DataFrame) -> DataFrame:
     left, right = df.alias("l"), df.alias("r")
     return left.join(right, on=F.col(f"l.{RID}") != F.col(f"r.{RID}"), how="inner")
@@ -357,33 +346,18 @@ def build_evidence_naive(
     Deliberately tuple-at-a-time (no columnar bit packing) to serve as the
     slow baseline of the Figure-7 comparison. Masks are returned as hex
     strings to avoid UDF bigint overflow for spaces wider than 63
-    predicates. It follows the kernel's rule (DESIGN.md §5): it evaluates
-    the representative of each complement pair, reads a None or NaN side
-    as false, and takes ``≠``, ``≥``, ``≤`` as its NOT.
+    predicates. Each bit is :meth:`Predicate.eval` on the pair's Python
+    values, so nulls and NaN follow the kernel's rule (DESIGN.md §5).
     """
     attrs = [c for c in df.columns if c != RID]
-    # (representative, whether the bit is its NOT) per predicate
-    plan = [
-        (p, False) if p.op in REPRESENTATIVE else (p.complement, True)
-        for p in space.predicates
-    ]
-
-    def holds(rep: Predicate, t: dict, s: dict) -> bool:
-        a, b = t[rep.lhs], (t if rep.single_tuple else s)[rep.rhs]
-        if a is None or b is None or a != a or b != b:  # a null or NaN side
-            return False
-        return bool(rep.eval(t, s))
+    preds = space.predicates
 
     @F.udf(returnType=T.StringType())
     def sat_hex(lrow, rrow):
         t = dict(zip(attrs, lrow))
         s = dict(zip(attrs, rrow))
-        m = 0
-        for i, (rep, negate) in enumerate(plan):
-            if holds(rep, t, s) != negate:
-                m |= 1 << i
-        return format(m, "x")
+        return format(sum(1 << i for i, p in enumerate(preds) if p.eval(t, s)), "x")
 
-    lstruct = F.struct(*[_Side("l")[a] for a in attrs])
-    rstruct = F.struct(*[_Side("r")[a] for a in attrs])
+    lstruct = F.struct(*[F.col(f"l.{_quote(a)}") for a in attrs])
+    rstruct = F.struct(*[F.col(f"r.{_quote(a)}") for a in attrs])
     return _aggregate(df, space, sat_hex(lstruct, rstruct), with_vios)

@@ -44,14 +44,14 @@ COMPLEMENT: dict[Op, Op] = {
     Op.LE: Op.GT,
 }
 
-#: One representative per complement pair. The evidence kernel evaluates
-#: only these and takes the other three operators as their bitwise NOT, so
-#: exactly one of P / P̂ holds on every pair by construction, on nulls and
-#: NaN too (DESIGN.md §5).
+#: One representative per complement pair. Every evaluator computes only
+#: these and takes the other three operators as their NOT, so exactly one
+#: of P / P̂ holds on every pair by construction, on nulls and NaN too
+#: (DESIGN.md §5).
 REPRESENTATIVE: frozenset[Op] = frozenset({Op.EQ, Op.LT, Op.GT})
 
-#: Evaluator per operator; Python's comparison operators work on scalars,
-#: numpy arrays and Spark ``Column``s alike (see :meth:`Predicate.eval`).
+#: Evaluator per operator; Python's comparison operators work on scalars
+#: and numpy arrays alike.
 PY_OP: dict[Op, Callable] = {
     Op.EQ: operator.eq,
     Op.NE: operator.ne,
@@ -95,15 +95,28 @@ class Predicate:
     def eval(self, t, s):
         """``Sat`` of this predicate on the ordered pair ``(t, s)``.
 
-        ``t`` and ``s`` are indexed by attribute name and give scalars, numpy
-        arrays shaped to broadcast over a pair grid (:func:`pair_grid`), or
-        Spark ``Column``s; the result is of the same kind. A single-tuple
-        predicate reads both sides from ``t``. This is the one place that
-        knows the operator table; every builder and violation counter
-        evaluates through it.
+        ``t`` and ``s`` are indexed by attribute name and give scalars or
+        numpy arrays shaped to broadcast over a pair grid (:func:`pair_grid`);
+        the result is a bool or a bool array of the grid's shape. A
+        single-tuple predicate reads both sides from ``t``.
+
+        The rule (DESIGN.md §5): the representative of the complement pair
+        (``=``, ``<``, ``>``) is false where either side is a null or NaN,
+        and ``≠``, ``≥``, ``≤`` are its NOT, so exactly one of P / P̂ holds
+        on every pair.
         """
-        right = t if self.single_tuple else s
-        return PY_OP[self.op](t[self.lhs], right[self.rhs])
+        negate = self.op not in REPRESENTATIVE
+        rep = self.complement if negate else self
+        a, b = t[rep.lhs], (t if rep.single_tuple else s)[rep.rhs]
+        null = pd.isna(a) | pd.isna(b)
+        if isinstance(null, bool):  # a pair of scalars
+            return (not null and bool(PY_OP[rep.op](a, b))) != negate
+        known = ~null
+        holds = np.zeros(null.shape, dtype=bool)
+        holds[known] = PY_OP[rep.op](
+            np.broadcast_to(a, null.shape)[known], np.broadcast_to(b, null.shape)[known]
+        )
+        return holds != negate
 
     def __str__(self) -> str:
         rside = "t" if self.single_tuple else "t'"
@@ -186,8 +199,6 @@ def build_predicate_space(
     *,
     min_overlap: float = 0.3,
     include_pairs: Sequence[tuple[str, str]] | None = None,
-    exclude: Sequence[str] = (),
-    single_tuple_pairs: bool = True,
     cross_column: bool = True,
 ) -> PredicateSpace:
     """Build ``P_R`` from a pandas sample of the relation (paper §4.2).
@@ -198,9 +209,9 @@ def build_predicate_space(
       (one direction per unordered pair, see DESIGN.md §2);
     - ``include_pairs`` forces specific cross pairs regardless of overlap.
 
-    ``exclude`` drops attributes (e.g. the ``__rid`` bookkeeping column).
+    Columns named ``__*`` (e.g. the ``__rid`` bookkeeping column) are skipped.
     """
-    attrs = [c for c in pdf.columns if c not in exclude and not c.startswith("__")]
+    attrs = [c for c in pdf.columns if not c.startswith("__")]
     numeric = {c for c in attrs if is_numeric_dtype(pdf[c])}
     preds: list[Predicate] = []
 
@@ -225,6 +236,5 @@ def build_predicate_space(
                     continue
                 for op in ops_for(a, b):
                     preds.append(Predicate(a, op, b, single_tuple=False))
-                    if single_tuple_pairs:
-                        preds.append(Predicate(a, op, b, single_tuple=True))
+                    preds.append(Predicate(a, op, b, single_tuple=True))
     return PredicateSpace(preds)

@@ -32,14 +32,12 @@ def search_mc(
     f: ApproximationFunction,
     eps: float,
     *,
-    groups: list[tuple[int, ...]] | None = None,
-    n_elements: int | None = None,
     max_results: int | None = None,
     timeout_s: float | None = None,
 ) -> tuple[list[frozenset[int]], EnumStats]:
     """Enumerate minimal approximate hitting sets, FASTDC-style."""
-    n_el = n_elements if n_elements is not None else len(ev.space)
-    grp = groups if groups is not None else ev.space.group_others
+    n_el = len(ev.space)
+    grp = ev.space.group_others
     masks = list(ev.masks)
     stats = EnumStats()
     results: list[frozenset[int]] = []

@@ -7,12 +7,12 @@ For a DC φ and a uniform tuple sample J of D, the violating-pair rate
 implemented: the assumption-free Chebyshev bound and the normal-CI bound
 under the random-polluter (independent edges) model.
 
-The inverse normal CDF uses Acklam's rational approximation (|abs error|
-< 1.15e-9) since scipy is not available offline.
+The inverse normal CDF is the standard library's ``NormalDist.inv_cdf``.
 """
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 
 def p_hat(n_violations: int, n_sample_tuples: int) -> float:
@@ -36,37 +36,9 @@ def chebyshev_bound(p: float, n_sample_tuples: int, a: float) -> float:
     return min(1.0, max(0.0, var_bound / (a * a)))
 
 
-# Acklam's inverse normal CDF coefficients
-_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-      1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-      6.680131188771972e01, -1.328068155288572e01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-      -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-      3.754408661907416e00)
-
-
 def inv_norm_cdf(q: float) -> float:
-    """Standard normal quantile Φ⁻¹(q), Acklam's approximation."""
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must be in (0, 1)")
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if q < p_low:
-        u = math.sqrt(-2 * math.log(q))
-        return (((((_C[0] * u + _C[1]) * u + _C[2]) * u + _C[3]) * u + _C[4]) * u + _C[5]) / (
-            (((_D[0] * u + _D[1]) * u + _D[2]) * u + _D[3]) * u + 1
-        )
-    if q > p_high:
-        u = math.sqrt(-2 * math.log(1 - q))
-        return -(((((_C[0] * u + _C[1]) * u + _C[2]) * u + _C[3]) * u + _C[4]) * u + _C[5]) / (
-            (((_D[0] * u + _D[1]) * u + _D[2]) * u + _D[3]) * u + 1
-        )
-    u = q - 0.5
-    r = u * u
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * u / (
-        ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1
-    )
+    """Standard normal quantile Φ⁻¹(q); a ``ValueError`` outside (0, 1)."""
+    return NormalDist().inv_cdf(q)
 
 
 def z_value(alpha: float) -> float:

@@ -1,4 +1,4 @@
-"""DenialConstraint semantics, formatting and SQL/Column generation."""
+"""DenialConstraint semantics, formatting and SQL generation."""
 import pytest
 
 from repro.core.dc import DenialConstraint
@@ -57,13 +57,25 @@ class TestViolationCounting:
 class TestSqlGeneration:
     def test_violation_sql_phi2(self):
         sql = PHI2.violation_sql("a", "b")
-        assert "a.State <> b.State" in sql and "a.Zip = b.Zip" in sql
+        assert sql == "NOT COALESCE(a.State = b.State, FALSE) AND a.Zip = b.Zip"
 
     def test_violation_sql_single_tuple(self):
         dc = DenialConstraint.of(P("hi", Op.LT, "lo", single_tuple=True))
         assert dc.violation_sql("x", "y") == "x.hi < x.lo"
 
-    @pytest.mark.parametrize("op,sym", [(Op.EQ, "="), (Op.NE, "<>"), (Op.LE, "<=")])
-    def test_operator_rendering(self, op, sym):
+    @pytest.mark.parametrize(
+        "op,sql",
+        [
+            pytest.param(Op.EQ, "t1.A = t2.B", id="=-="),
+            pytest.param(Op.NE, "NOT COALESCE(t1.A = t2.B, FALSE)", id="!=-<>"),
+            pytest.param(Op.LT, "t1.A < t2.B", id="<-<"),
+            pytest.param(Op.LE, "NOT COALESCE(t1.A > t2.B, FALSE)", id="<=-<="),
+            pytest.param(Op.GT, "t1.A > t2.B", id=">->"),
+            pytest.param(Op.GE, "NOT COALESCE(t1.A < t2.B, FALSE)", id=">=->="),
+        ],
+    )
+    def test_operator_rendering(self, op, sql):
+        """``≠``, ``≤``, ``≥`` are the NOT of their representative, with a
+        NULL side reading as false (DESIGN.md §5)."""
         dc = DenialConstraint.of(P("A", op, "B"))
-        assert f"t1.A {sym} t2.B" == dc.violation_sql()
+        assert dc.violation_sql() == sql

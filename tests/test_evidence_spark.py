@@ -4,7 +4,6 @@ Every query-result test goes through ``repro.oracle.assert_equivalent`` so a
 broken cross-join, predicate translation, or bit-packing bug is caught
 against an independent engine, not just "it ran".
 """
-import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -19,12 +18,11 @@ from repro.core import (
     build_evidence_naive,
     build_evidence_spark,
     build_predicate_space,
-    violating_pairs_df,
     with_rid,
 )
 from repro.core.dc import DenialConstraint
 from repro.core.evidence import RID
-from repro.core.predicates import REPRESENTATIVE, Op, Predicate
+from repro.core.predicates import REPRESENTATIVE, Op, Predicate, PredicateSpace
 from repro.datasets import DATASETS, PHI1, PHI2, running_example
 
 P = Predicate
@@ -254,115 +252,123 @@ class TestCanonicalOrder:
             assert len(nodes) == 1
 
 
+def _violations(ev, dc) -> int:
+    """Violating ordered pairs of ``dc`` read off an evidence bag: the pairs
+    whose ``Sat`` holds every predicate of the DC."""
+    bits = sum(1 << ev.space.id_of(p) for p in dc.predicates)
+    return sum(int(c) for m, c in zip(ev.masks, ev.counts) if m & bits == bits)
+
+
+def _assert_oracle_counts(spark, counts, dcs, pdf):
+    """Assert that ``counts[k]`` is DuckDB's count of the ordered pairs of
+    ``pdf`` that violate ``dcs[k]``; the counts reach ``assert_equivalent``
+    as the columns of a 1-row Spark frame."""
+    from repro.oracle import assert_equivalent
+
+    got = spark.range(1).select(
+        *[F.lit(c).cast("long").alias(f"c{k}") for k, c in enumerate(counts)]
+    )
+    cols = ", ".join(
+        f"count(*) FILTER (WHERE {dc.violation_sql('t1', 't2')}) AS c{k}"
+        for k, dc in enumerate(dcs)
+    )
+    sql = f"SELECT {cols} FROM d t1, d t2 WHERE t1.__rid <> t2.__rid"
+    assert_equivalent(got, sql, d=pdf.assign(__rid=range(len(pdf))))
+
+
+def _assert_evidence_matches_oracle(spark, df, dc):
+    """The production route (``build_evidence_spark``'s bag over a space of
+    the DC's own predicates) counts ``dc``'s violations as DuckDB does."""
+    pdf = df.toPandas()
+    ev = build_evidence_spark(spark, df, PredicateSpace(dc.sorted_predicates()))
+    _assert_oracle_counts(spark, [_violations(ev, dc)], [dc], pdf)
+
+
+_CLEAN = [
+    ("tax", DenialConstraint.of(P("state", Op.EQ, "state"), P("salary", Op.GT, "salary"), P("rate", Op.LT, "rate"))),
+    ("tax", DenialConstraint.of(P("zip", Op.EQ, "zip"), P("state", Op.NE, "state"))),
+    ("stock", DenialConstraint.of(P("high", Op.LT, "low", single_tuple=True))),
+    ("stock", DenialConstraint.of(P("ticker", Op.EQ, "ticker"), P("volume", Op.GT, "volume"))),
+    ("voter", DenialConstraint.of(P("age", Op.LT, "age"), P("birth_year", Op.LT, "birth_year"))),
+    ("airport", DenialConstraint.of(P("state", Op.EQ, "state"), P("elevation", Op.LE, "elevation"))),
+    ("stock", DenialConstraint.of(P("open", Op.EQ, "close", single_tuple=True), P("volume", Op.GE, "volume"))),
+    ("stock", DenialConstraint.of(P("open", Op.NE, "low", single_tuple=True), P("close", Op.LE, "high", single_tuple=True), P("ticker", Op.EQ, "ticker"))),
+    ("stock", DenialConstraint.of(P("high", Op.GT, "close", single_tuple=True), P("open", Op.GE, "low", single_tuple=True), P("trade_date", Op.LT, "trade_date"))),
+]
+_CLEAN_IDS = ["tax-rate", "tax-zip", "stock-hilo", "stock-vol", "voter-age", "airport-elev",
+              "stock-st-eq", "stock-st-ne-le", "stock-st-gt-ge"]
+
+_LINEITEM_DC = DenialConstraint.of(
+    P("l_orderkey", Op.EQ, "l_orderkey"),
+    P("l_quantity", Op.GT, "l_quantity"),
+    P("l_extendedprice", Op.LT, "l_extendedprice"),
+)
+
+
+def _lineitem(spark):
+    li = synth_data.lineitem(spark, sf=0.00002, seed=9).select(
+        "l_orderkey", "l_quantity", "l_extendedprice"
+    )
+    return spark.createDataFrame(li.toPandas())
+
+
 class TestOracleViolationCounts:
-    """violating_pairs_df vs DuckDB over the same input tables."""
+    """Violation counts from the evidence bag vs DuckDB over the same
+    input tables."""
 
     @pytest.mark.parametrize("dc", [PHI1, PHI2], ids=["phi1", "phi2"])
-    def test_running_example(self, spark, dc):
-        from repro.oracle import assert_equivalent
+    def test_running_example(self, spark, re_ctx, dc):
+        pdf, space, df = re_ctx
+        ev = build_evidence_spark(spark, df, space)
+        _assert_oracle_counts(spark, [_violations(ev, dc)], [dc], pdf)
 
-        pdf = running_example()
-        pdf["__rid"] = range(len(pdf))
-        df = spark.createDataFrame(pdf)
-        got = violating_pairs_df(df, dc)
-        sql = (
-            "SELECT count(*) AS n_violations FROM d t1, d t2 "
-            f"WHERE t1.__rid <> t2.__rid AND {dc.violation_sql('t1', 't2')}"
-        )
-        assert_equivalent(got, sql, d=pdf)
-
-    @pytest.mark.parametrize(
-        "name,dc",
-        [
-            ("tax", DenialConstraint.of(P("state", Op.EQ, "state"), P("salary", Op.GT, "salary"), P("rate", Op.LT, "rate"))),
-            ("tax", DenialConstraint.of(P("zip", Op.EQ, "zip"), P("state", Op.NE, "state"))),
-            ("stock", DenialConstraint.of(P("high", Op.LT, "low", single_tuple=True))),
-            ("stock", DenialConstraint.of(P("ticker", Op.EQ, "ticker"), P("volume", Op.GT, "volume"))),
-            ("voter", DenialConstraint.of(P("age", Op.LT, "age"), P("birth_year", Op.LT, "birth_year"))),
-            ("airport", DenialConstraint.of(P("state", Op.EQ, "state"), P("elevation", Op.LE, "elevation"))),
-            ("stock", DenialConstraint.of(P("open", Op.EQ, "close", single_tuple=True), P("volume", Op.GE, "volume"))),
-            ("stock", DenialConstraint.of(P("open", Op.NE, "low", single_tuple=True), P("close", Op.LE, "high", single_tuple=True), P("ticker", Op.EQ, "ticker"))),
-            ("stock", DenialConstraint.of(P("high", Op.GT, "close", single_tuple=True), P("open", Op.GE, "low", single_tuple=True), P("trade_date", Op.LT, "trade_date"))),
-        ],
-        ids=["tax-rate", "tax-zip", "stock-hilo", "stock-vol", "voter-age", "airport-elev",
-             "stock-st-eq", "stock-st-ne-le", "stock-st-gt-ge"],
-    )
+    @pytest.mark.parametrize("name,dc", _CLEAN, ids=_CLEAN_IDS)
     def test_datasets_clean(self, spark, name, dc):
-        """Spark Column, numpy and SQL renderings agree on the count. The
-        cases cover every operator in a two-tuple and in a single-tuple
-        predicate."""
-        from repro.oracle import assert_equivalent
-
-        pdf = DATASETS[name](60, seed=3).pdf.copy()
-        pdf["__rid"] = range(len(pdf))
-        df = spark.createDataFrame(pdf)
-        sql = (
-            "SELECT count(*) AS n_violations FROM d t1, d t2 "
-            f"WHERE t1.__rid <> t2.__rid AND {dc.violation_sql('t1', 't2')}"
-        )
-        assert_equivalent(violating_pairs_df(df, dc), sql, d=pdf)
-        numpy_count = spark.range(1).select(
-            F.lit(dc.violating_pairs_pandas(pdf)).cast("long").alias("n_violations")
-        )
-        assert_equivalent(numpy_count, sql, d=pdf)
+        """The cases cover every operator in a two-tuple and in a
+        single-tuple predicate."""
+        _assert_evidence_matches_oracle(spark, spark.createDataFrame(DATASETS[name](60, seed=3).pdf), dc)
 
     def test_dirty_dataset(self, spark):
         from repro.datasets import add_noise
-        from repro.oracle import assert_equivalent
 
         spec = DATASETS["tax"](60, seed=3)
         dirty = add_noise(spec.pdf, rate=0.02, mode="spread", seed=1)
-        dirty["__rid"] = range(len(dirty))
-        df = spark.createDataFrame(dirty)
-        dc = spec.golden[1]  # zip → state
-        got = violating_pairs_df(df, dc)
-        sql = (
-            "SELECT count(*) AS n_violations FROM d t1, d t2 "
-            f"WHERE t1.__rid <> t2.__rid AND {dc.violation_sql('t1', 't2')}"
-        )
-        assert_equivalent(got, sql, d=dirty)
+        _assert_evidence_matches_oracle(spark, spark.createDataFrame(dirty), spec.golden[1])  # zip → state
 
-    def test_evidence_route_matches_oracle(self, spark, re_ctx):
-        """f1 numerator derived from the evidence bag == DuckDB pair count,
-        wrapped as a 1-row DataFrame on the Spark side."""
-        from repro.oracle import assert_equivalent
-
-        pdf, space, df = re_ctx
+    @pytest.mark.parametrize(
+        "name,dc",
+        _CLEAN + [("lineitem", _LINEITEM_DC), ("nulls", None)],
+        ids=_CLEAN_IDS + ["lineitem", "nulls"],
+    )
+    def test_evidence_route_matches_oracle(self, spark, name, dc):
+        """Four evaluators count the same violations: the kernel's bag
+        (``build_evidence_spark``), the naive builder's bag,
+        ``violating_pairs_pandas`` and DuckDB. They are checked on the DC
+        and on each predicate of the space alone. ``nulls`` holds a null and
+        a NaN in a double column and a null in a string column; its space
+        is the frame's full ``P_R``, so every operator meets them."""
+        if name == "nulls":
+            df = spark.createDataFrame(TestNullsAndNaN.ROWS, TestNullsAndNaN.SCHEMA)
+        elif name == "lineitem":
+            df = _lineitem(spark)
+        else:
+            df = spark.createDataFrame(DATASETS[name](60, seed=3).pdf)
+        pdf = df.toPandas()
+        if dc is None:
+            space, dcs = build_predicate_space(pdf, include_pairs=[("a", "b")]), []
+        else:
+            space, dcs = PredicateSpace(dc.sorted_predicates()), [dc]
+        dcs += [DenialConstraint.of(p) for p in space]
         ev = build_evidence_spark(spark, df, space)
-        bits = [space.id_of(p) for p in PHI2.predicates]
-        viol = sum(
-            int(c)
-            for m, c in zip(ev.masks, ev.counts)
-            if all(m >> b & 1 for b in bits)
-        )
-        got = spark.range(1).select(F.lit(viol).cast("long").alias("n_violations"))
-        sql = (
-            "SELECT count(*) AS n_violations FROM d t1, d t2 "
-            f"WHERE t1.__rid <> t2.__rid AND {PHI2.violation_sql('t1', 't2')}"
-        )
-        pdf_rid = pdf.copy()
-        pdf_rid["__rid"] = range(len(pdf_rid))
-        assert_equivalent(got, sql, d=pdf_rid)
+        naive = build_evidence_naive(spark, df, space)
+        ev.check()
+        naive.check()
+        counts = [_violations(ev, d) for d in dcs]
+        assert [_violations(naive, d) for d in dcs] == counts
+        assert [d.violating_pairs_pandas(pdf) for d in dcs] == counts
+        _assert_oracle_counts(spark, counts, dcs, pdf)
 
 
 class TestLineitemOracle:
     def test_discount_tax_dc_on_lineitem(self, spark):
-        from repro.oracle import assert_equivalent
-
-        li = synth_data.lineitem(spark, sf=0.00002, seed=9).select(
-            "l_orderkey", "l_quantity", "l_extendedprice"
-        )
-        pdf = li.toPandas()
-        pdf["__rid"] = range(len(pdf))
-        df = spark.createDataFrame(pdf)
-        dc = DenialConstraint.of(
-            P("l_orderkey", Op.EQ, "l_orderkey"),
-            P("l_quantity", Op.GT, "l_quantity"),
-            P("l_extendedprice", Op.LT, "l_extendedprice"),
-        )
-        got = violating_pairs_df(df, dc)
-        sql = (
-            "SELECT count(*) AS n_violations FROM d t1, d t2 "
-            f"WHERE t1.__rid <> t2.__rid AND {dc.violation_sql('t1', 't2')}"
-        )
-        assert_equivalent(got, sql, d=pdf)
+        _assert_evidence_matches_oracle(spark, _lineitem(spark), _LINEITEM_DC)

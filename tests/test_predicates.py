@@ -39,7 +39,8 @@ class TestOperators:
     def test_exactly_one_of_pred_and_complement_holds(self, op):
         p = Predicate("a", op, "a")
         q = p.complement
-        for x, y in [(1, 1), (1, 2), (2, 1)]:
+        nan = float("nan")
+        for x, y in [(1, 1), (1, 2), (2, 1), (None, 1), (nan, 1), (nan, nan)]:
             t, s = {"a": x}, {"a": y}
             assert p.eval(t, s) != q.eval(t, s)
 
