@@ -1,8 +1,9 @@
 """Figure 8 — ADCMiner runtime per approximation function (f1, f2, f3).
 
-Reports total / enumeration / evidence times for each function; the paper's
-finding is that enumeration times are close across functions and evidence
-construction dominates the total.
+Reports total / enumeration / evidence times for each function, with the
+enumeration's search-tree nodes and f-evaluations next to its seconds; the
+paper's finding is that enumeration times are close across functions and
+evidence construction dominates the total.
 """
 import sys
 
@@ -26,6 +27,8 @@ def run(spark, n: int = 150, seed: int = 0, eps: float = 0.01, datasets=None,
                             max_results=max_results)
             row[f"{f.name}_total_s"] = round(res.timings["total"], 2)
             row[f"{f.name}_enum_s"] = round(res.timings["enumeration"], 2)
+            row[f"{f.name}_nodes"] = res.enum_stats.nodes
+            row[f"{f.name}_f_evals"] = res.enum_stats.f_evals
             row[f"{f.name}_evidence_s"] = round(res.timings["evidence"], 2)
             row[f"{f.name}_n_adcs"] = len(res.dcs)
         rows.append(row)

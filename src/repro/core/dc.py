@@ -18,6 +18,12 @@ from .predicates import COMPLEMENT, Op, Predicate, pair_grid
 _SQL_OP = {Op.EQ: "=", Op.LT: "<", Op.GT: ">"}
 
 
+def _ident(name: str) -> str:
+    """``name`` as a DuckDB identifier: double-quoted, inner quotes doubled,
+    so spaces, dots and backticks stay part of the name."""
+    return '"' + name.replace('"', '""') + '"'
+
+
 @dataclass(frozen=True)
 class DenialConstraint:
     """A DC as a frozenset of :class:`Predicate`."""
@@ -52,9 +58,9 @@ class DenialConstraint:
     # -- violation counters ---------------------------------------------------
 
     def violation_sql(self, left: str = "t1", right: str = "t2") -> str:
-        """SQL conjunction for the DuckDB oracle, under the rule of
-        :meth:`Predicate.eval`: ``=``, ``<``, ``>`` bare (a NULL conjunct
-        already drops the pair) and ``≠``, ``≥``, ``≤`` as
+        """SQL conjunction for the DuckDB oracle, column names quoted, under
+        the rule of :meth:`Predicate.eval`: ``=``, ``<``, ``>`` bare (a NULL
+        conjunct already drops the pair) and ``≠``, ``≥``, ``≤`` as
         ``NOT COALESCE(<representative>, FALSE)``. DuckDB reads a pandas NaN
         as NULL.
 
@@ -63,7 +69,8 @@ class DenialConstraint:
         terms = []
         for p in self.sorted_predicates():
             op = p.op if p.op in _SQL_OP else COMPLEMENT[p.op]
-            term = f"{left}.{p.lhs} {_SQL_OP[op]} {left if p.single_tuple else right}.{p.rhs}"
+            rhs = f"{left if p.single_tuple else right}.{_ident(p.rhs)}"
+            term = f"{left}.{_ident(p.lhs)} {_SQL_OP[op]} {rhs}"
             terms.append(term if op is p.op else f"NOT COALESCE({term}, FALSE)")
         return " AND ".join(terms)
 

@@ -86,8 +86,12 @@ class ADCEnum:
         self.n_elements = len(ev.space)
         # group_mask[e]: the other predicates differing from e only by operator
         self.group_mask = [sum(1 << g for g in others) for others in ev.space.group_others]
-        # f's check as one integer compare on the uncovered weight, if f has one
-        self.max_weight = f.max_passing_weight(ev, eps)
+        # f's check as integer compares on the uncovered weight: above cap f
+        # fails; at or below it f passes if the cap is exact (the f1 family),
+        # else f.passes decides (f2/f3 within the Prop. 5.3 cap)
+        exact = f.max_passing_weight(ev, eps)
+        self.cap = f.weight_cap(ev, eps) if exact is None else exact
+        self.exact = exact is not None
         self.max_results = max_results
         self.timeout_s = timeout_s
         self.results: list[frozenset[int]] = []
@@ -115,9 +119,9 @@ class ADCEnum:
 
     def _passes(self, bits: int, weight: int) -> bool:
         self.stats.f_evals += 1
-        if self.max_weight is not None:
-            return weight <= self.max_weight
-        return self.f.passes(self.ev, UncoveredView(_Bits(bits), weight), self.eps)
+        if weight > self.cap:
+            return False
+        return self.exact or self.f.passes(self.ev, UncoveredView(_Bits(bits), weight), self.eps)
 
     def _is_minimal(self, S: list[int]) -> bool:
         """IsMinimal (Figure 5): S∖{e} must fail for every e ∈ S."""

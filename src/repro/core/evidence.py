@@ -29,8 +29,12 @@ Builders:
 All three take ``with_vios``: it also fills the ``vios`` structure of
 Figure 2 (per evidence set, per tuple pair counts, needed by f2 and
 GreedyF3), each ordered pair counted once for each of its two tuples.
-The kernel gets it by also evaluating, per tile, the pairs whose second
-tuple is in the tile, so each tuple's counts come from one tile.
+The kernel gets it from the same one evaluation per pair: each tile
+writes its pairs' local mask ids into an n×n int32 grid, the merge maps
+them to global ids (the ``t = t'`` diagonal to a spare id), and a tuple's
+counts are its grid row's histogram plus its grid column's, by
+``np.bincount`` over blocks of rows and of columns on the tile threads.
+The grid costs n²·4 bytes.
 :func:`build_vios_spark` is the Spark builder with ``with_vios`` set.
 Every builder returns its masks in one canonical order (count descending,
 then mask ascending), so ADCEnum walks the same tree whatever builder,
@@ -172,26 +176,33 @@ def _keys(cols, plan, flip, ts: slice, ss: slice, keep: np.ndarray) -> np.ndarra
     return pairs.view("<u8").ravel() if nb == 8 else pairs.view(np.dtype((np.void, nb))).ravel()
 
 
-def _tile(cols, plan, flip, n: int, lo: int, hi: int, with_vios: bool):
+def _tile(cols, plan, flip, n: int, lo: int, hi: int, grid: np.ndarray | None):
     """The pre-aggregated evidence of the pairs whose first tuple is a row
-    in ``[lo, hi)``: distinct mask keys and their counts. With vios also the
-    pairs whose second tuple is in the tile, so the tile's tuples get all
-    their pairs here, as a dense (key, tuple - lo) count matrix."""
-    own, every = slice(lo, hi), slice(0, n)
+    in ``[lo, hi)``: distinct mask keys and their counts. Given the pair
+    ``grid``, also writes each pair's index into those keys to its cell in
+    the grid's rows ``[lo, hi)``, and ``len(keys)`` to the ``t = t'`` cells."""
     ids = np.arange(n)
-    out = ids[own, None] != ids[None, :]  # (t, t') with t here and t ≠ t'
-    keys = _keys(cols, plan, flip, own, every, out)
-    if not with_vios:
-        uniq, counts = np.unique(keys, return_counts=True)
-        return uniq, counts, None
-    into = out.T  # (t', t) with t here
-    uniq, inv = np.unique(
-        np.concatenate([keys, _keys(cols, plan, flip, every, own, into)]), return_inverse=True
-    )
-    counts = np.bincount(inv[: len(keys)], minlength=len(uniq))
-    tid = np.concatenate([np.nonzero(out)[0], np.nonzero(into)[1]])
+    out = ids[lo:hi, None] != ids[None, :]  # (t, t') with t here and t ≠ t'
+    keys = _keys(cols, plan, flip, slice(lo, hi), slice(0, n), out)
+    if grid is None:
+        return np.unique(keys, return_counts=True)
+    uniq, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    grid[lo:hi][out] = inv
+    np.fill_diagonal(grid[lo:hi, lo:], len(uniq))
+    return uniq, counts
+
+
+def _per_tuple(grid: np.ndarray, k: int, lo: int, hi: int):
+    """The nonzero per-tuple counts of tuples ``[lo, hi)`` over a grid of
+    global ids in ``[0, k]`` (``k``: the ``t = t'`` cells): each tuple's row
+    histogram plus its column histogram, as (id, tuple, count) arrays."""
     r = hi - lo
-    return uniq, counts, np.bincount(inv * r + tid, minlength=len(uniq) * r).reshape(-1, r)
+    at = np.arange(r, dtype=np.int64) * (k + 1)  # tuple lo + j counts in [at[j], at[j] + k]
+    h = np.bincount((grid[lo:hi] + at[:, None]).ravel(), minlength=r * (k + 1))
+    h += np.bincount((grid[:, lo:hi] + at).ravel(), minlength=r * (k + 1))
+    h = h.reshape(r, k + 1)[:, :k]
+    t, g = np.nonzero(h)
+    return g, lo + t, h[t, g]
 
 
 def build_evidence_local(
@@ -214,30 +225,38 @@ def build_evidence_local(
     workers = os.cpu_count() or 1
     rows = max(1, min(_TILE_PAIRS // n, -(-n // workers)))
     starts = range(0, n, rows)
+    grid = np.empty((n, n), dtype=np.int32) if with_vios else None
     with ThreadPoolExecutor(workers) as pool:
         parts = list(pool.map(
-            lambda lo: _tile(cols, plan, flip, n, lo, min(n, lo + rows), with_vios), starts
+            lambda lo: _tile(cols, plan, flip, n, lo, min(n, lo + rows), grid), starts
         ))
-    # merge the tiles: one global id per distinct mask key
-    keys, gid = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
-    counts = np.bincount(gid, np.concatenate([p[1] for p in parts]), len(keys))
+        # merge the tiles: one global id per distinct mask key
+        keys, gid = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
+        counts = np.bincount(gid, np.concatenate([p[1] for p in parts]), len(keys))
+        if with_vios:
+            k = len(keys)  # the id of the t = t' cells
+
+            def to_global(lo: int, ids: np.ndarray) -> None:  # local id i → ids[i], t = t' → k
+                grid[lo : lo + rows] = np.append(ids, k).astype(np.int32)[grid[lo : lo + rows]]
+
+            tile_ids = np.split(gid, np.cumsum([len(p[0]) for p in parts])[:-1])
+            list(pool.map(to_global, starts, tile_ids))
+            # tuples per block: its dense histograms hold max(_TILE_PAIRS, k + 1) counts at most
+            step = max(1, min(rows, _TILE_PAIRS // (k + 1)))
+            per = list(pool.map(
+                lambda lo: _per_tuple(grid, k, lo, min(n, lo + step)), range(0, n, step)
+            ))
     if keys.dtype.kind == "u":
         masks = keys.tolist()
     else:
         masks = [int.from_bytes(k.tobytes(), "little") for k in keys]
     vios = None
-    if with_vios:  # each tuple's counts come from its own tile alone
-        offsets = np.cumsum([0] + [len(p[0]) for p in parts])
-        g, t, c = [], [], []
-        for o, lo, (_, _, per) in zip(offsets, starts, parts):
-            m, i = np.nonzero(per)
-            g.append(gid[o + m])
-            t.append(lo + i)
-            c.append(per[m, i])
-        g = np.concatenate(g)
-        order = np.argsort(g, kind="stable")
+    if with_vios:
+        g = np.concatenate([p[0] for p in per])
+        order = np.argsort(g, kind="stable")  # per id, tuples stay ascending
         bounds = np.searchsorted(g[order], np.arange(len(keys) + 1))
-        t, c = np.concatenate(t)[order].tolist(), np.concatenate(c)[order].tolist()
+        t = np.concatenate([p[1] for p in per])[order].tolist()
+        c = np.concatenate([p[2] for p in per])[order].tolist()
         vios = [dict(zip(t[a:b], c[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
     return _finish(space, n, masks, counts.astype(np.int64).tolist(), vios)
 

@@ -16,13 +16,16 @@ tests in ``tests/test_functions.py`` verify both.
 F1 and F1' (``repro.sampling.threshold``) read only the uncovered weight
 and are monotone in it, so :meth:`ApproximationFunction.max_passing_weight`
 turns their check into one integer compare (DESIGN.md §5).
-``F2``/``F3Greedy.passes`` apply the Proposition 5.3 prefilter: when
+``F2``/``F3Greedy`` apply the Proposition 5.3 prefilter: when
 ``1 − f1 > 2ε`` neither can pass, and f1 is computable from the uncovered
-weights alone, without the ``vios`` structure.
+weight alone, without the ``vios`` structure. Their ``passes`` applies it,
+and :meth:`ApproximationFunction.weight_cap` states it as the largest
+weight it lets through, so ADCEnum rejects those nodes with one integer
+compare and calls ``passes`` only below the cap.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Callable, Iterable
 
 from .evidence import EvidenceSet
 
@@ -57,6 +60,11 @@ class ApproximationFunction:
         that is not known; the caller must then call :meth:`passes`."""
         return None
 
+    def weight_cap(self, ev: EvidenceSet, eps: float) -> int:
+        """An uncovered weight above which :meth:`passes` never holds: the
+        weight of the whole bag (no cap) unless f knows a bound."""
+        return int(ev.counts.sum())
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
 
@@ -85,14 +93,17 @@ def _uncovered_weight(ev: EvidenceSet, uncovered: Iterable[int]) -> int:
     return int(sum(int(ev.counts[i]) for i in uncovered))
 
 
-def weight_threshold(f: ApproximationFunction, ev: EvidenceSet, eps: float) -> int:
-    """The largest weight in ``[0, total_pairs]`` at which ``f.passes``
-    holds (−1 if none), by a binary search over ``f.passes`` itself; exact
-    for an f whose passing weights are a prefix of that range."""
+def weight_threshold(
+    passes: Callable[[EvidenceSet, Iterable[int], float], bool], ev: EvidenceSet, eps: float
+) -> int:
+    """The largest weight in ``[0, total_pairs]`` at which the check
+    ``passes`` (such as ``f.passes``) holds (−1 if none), by a binary search
+    over the check itself; exact for a check whose passing weights are a
+    prefix of that range."""
     lo, hi = -1, ev.total_pairs
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if f.passes(ev, UncoveredView((), mid), eps):
+        if passes(ev, UncoveredView((), mid), eps):
             lo = mid
         else:
             hi = mid - 1
@@ -106,6 +117,11 @@ def one_minus_f1(ev: EvidenceSet, uncovered: Iterable[int]) -> float:
     return _uncovered_weight(ev, uncovered) / ev.total_pairs
 
 
+def within_prop_53(ev: EvidenceSet, uncovered: Iterable[int], eps: float) -> bool:
+    """Proposition 5.3: ``1 − f ≤ ε`` for f2 or f3 implies ``1 − f1 ≤ 2ε``."""
+    return one_minus_f1(ev, uncovered) <= 2 * eps + _TOL
+
+
 class F1(ApproximationFunction):
     """g1 of Kivinen & Mannila generalized to DCs: satisfied-pair fraction."""
 
@@ -115,7 +131,7 @@ class F1(ApproximationFunction):
         return 1.0 - one_minus_f1(ev, uncovered)
 
     def max_passing_weight(self, ev: EvidenceSet, eps: float) -> int:
-        return weight_threshold(self, ev, eps)
+        return weight_threshold(self.passes, ev, eps)
 
 
 def _require_vios(ev: EvidenceSet) -> dict[int, dict[int, int]]:
@@ -127,11 +143,22 @@ def _require_vios(ev: EvidenceSet) -> dict[int, dict[int, int]]:
     return ev.vios
 
 
-class F2(ApproximationFunction):
+class _Prop53(ApproximationFunction):
+    """f2 and f3: they read ``vios``, and pass only within Prop. 5.3."""
+
+    needs_vios = True
+
+    def passes(self, ev: EvidenceSet, uncovered: Iterable[int], eps: float) -> bool:
+        return within_prop_53(ev, uncovered, eps) and super().passes(ev, uncovered, eps)
+
+    def weight_cap(self, ev: EvidenceSet, eps: float) -> int:
+        return weight_threshold(within_prop_53, ev, eps)
+
+
+class F2(_Prop53):
     """g2: fraction of tuples that appear in no violating pair."""
 
     name = "f2"
-    needs_vios = True
 
     def score(self, ev: EvidenceSet, uncovered: Iterable[int]) -> float:
         if ev.n_tuples == 0:
@@ -142,13 +169,8 @@ class F2(ApproximationFunction):
             bad.update(vios[i].keys())
         return 1.0 - len(bad) / ev.n_tuples
 
-    def passes(self, ev: EvidenceSet, uncovered: Iterable[int], eps: float) -> bool:
-        if one_minus_f1(ev, uncovered) > 2 * eps + _TOL:  # Prop. 5.3
-            return False
-        return super().passes(ev, uncovered, eps)
 
-
-class F3Greedy(ApproximationFunction):
+class F3Greedy(_Prop53):
     """GreedyF3 (Figure 2): greedy upper bound on the tuples to delete.
 
     ``score`` returns ``1 − |R|/|D|`` where R is the greedy removal set, so
@@ -157,7 +179,6 @@ class F3Greedy(ApproximationFunction):
     """
 
     name = "f3"
-    needs_vios = True
 
     def removal_set(self, ev: EvidenceSet, uncovered: Iterable[int]) -> list[int]:
         vios = _require_vios(ev)
@@ -181,8 +202,3 @@ class F3Greedy(ApproximationFunction):
         if ev.n_tuples == 0:
             return 1.0
         return 1.0 - len(self.removal_set(ev, uncovered)) / ev.n_tuples
-
-    def passes(self, ev: EvidenceSet, uncovered: Iterable[int], eps: float) -> bool:
-        if one_minus_f1(ev, uncovered) > 2 * eps + _TOL:  # Prop. 5.3
-            return False
-        return super().passes(ev, uncovered, eps)

@@ -59,4 +59,4 @@ class F1Prime(ApproximationFunction):
         when ``ε + tol < ½``. Otherwise ``None``."""
         if eps + _TOL >= 0.5:
             return None
-        return weight_threshold(self, ev, eps)
+        return weight_threshold(self.passes, ev, eps)

@@ -57,21 +57,21 @@ class TestViolationCounting:
 class TestSqlGeneration:
     def test_violation_sql_phi2(self):
         sql = PHI2.violation_sql("a", "b")
-        assert sql == "NOT COALESCE(a.State = b.State, FALSE) AND a.Zip = b.Zip"
+        assert sql == 'NOT COALESCE(a."State" = b."State", FALSE) AND a."Zip" = b."Zip"'
 
     def test_violation_sql_single_tuple(self):
         dc = DenialConstraint.of(P("hi", Op.LT, "lo", single_tuple=True))
-        assert dc.violation_sql("x", "y") == "x.hi < x.lo"
+        assert dc.violation_sql("x", "y") == 'x."hi" < x."lo"'
 
     @pytest.mark.parametrize(
         "op,sql",
         [
-            pytest.param(Op.EQ, "t1.A = t2.B", id="=-="),
-            pytest.param(Op.NE, "NOT COALESCE(t1.A = t2.B, FALSE)", id="!=-<>"),
-            pytest.param(Op.LT, "t1.A < t2.B", id="<-<"),
-            pytest.param(Op.LE, "NOT COALESCE(t1.A > t2.B, FALSE)", id="<=-<="),
-            pytest.param(Op.GT, "t1.A > t2.B", id=">->"),
-            pytest.param(Op.GE, "NOT COALESCE(t1.A < t2.B, FALSE)", id=">=->="),
+            pytest.param(Op.EQ, 't1."A" = t2."B"', id="=-="),
+            pytest.param(Op.NE, 'NOT COALESCE(t1."A" = t2."B", FALSE)', id="!=-<>"),
+            pytest.param(Op.LT, 't1."A" < t2."B"', id="<-<"),
+            pytest.param(Op.LE, 'NOT COALESCE(t1."A" > t2."B", FALSE)', id="<=-<="),
+            pytest.param(Op.GT, 't1."A" > t2."B"', id=">->"),
+            pytest.param(Op.GE, 'NOT COALESCE(t1."A" < t2."B", FALSE)', id=">=->="),
         ],
     )
     def test_operator_rendering(self, op, sql):

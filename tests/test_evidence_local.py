@@ -5,7 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import build_evidence_local, build_predicate_space
+from repro.core import build_evidence_local, build_predicate_space, evidence
 from repro.core.predicates import REPRESENTATIVE, Op, Predicate
 from repro.datasets import DATASETS, PHI1, PHI2, running_example
 
@@ -165,3 +165,89 @@ class TestAgainstPairLoop:
         bag, vios = _pair_loop(pdf, space)
         assert dict(zip(ev.masks, ev.counts.tolist())) == bag
         assert {m: ev.vios[i] for i, m in enumerate(ev.masks)} == vios
+
+
+def _mixed(n: int, seed: int = 11) -> pd.DataFrame:
+    """``n`` rows of ints, floats with NaN and strings with None."""
+    rng = np.random.default_rng(seed)
+    return pd.DataFrame({
+        "i": rng.integers(0, 3, n),
+        "f": rng.choice([0.5, 1.5, np.nan], n),
+        "g": rng.choice([0.5, 1.5, 2.5], n),
+        "s": pd.Series(rng.choice(["a", "b", None], n), dtype=object),
+    })
+
+
+def _wide() -> pd.DataFrame:
+    """A relation whose space is wider than 64 predicates (void keys)."""
+    rng = np.random.default_rng(3)
+    return pd.DataFrame({f"x{c}": rng.choice([0.5, 1.5, np.nan], size=11) for c in range(8)})
+
+
+class TestTiling:
+    """The kernel's bag and ``vios`` do not depend on how the pair grid is
+    cut into tiles or how many threads run them."""
+
+    @pytest.fixture
+    def tiling(self, monkeypatch):
+        """Sets the tile budget and thread count; returns the pairs each
+        call to ``_keys`` evaluates, one list per call."""
+        calls = []
+        keys = evidence._keys
+
+        def spy(cols, plan, flip, ts, ss, keep):
+            t, s = np.nonzero(keep)
+            calls.append(list(zip((t + ts.start).tolist(), (s + ss.start).tolist())))
+            return keys(cols, plan, flip, ts, ss, keep)
+
+        monkeypatch.setattr(evidence, "_keys", spy)
+
+        def set_(tile_pairs, workers):
+            monkeypatch.setattr(evidence, "_TILE_PAIRS", tile_pairs)
+            monkeypatch.setattr(evidence.os, "cpu_count", lambda: workers)
+            return calls
+
+        return set_
+
+    @pytest.mark.parametrize("rel", ["mixed", "wide"])
+    @pytest.mark.parametrize(
+        "tile_pairs,workers,n_tiles",
+        [(1, 1, 11), (30, 1, 6), (1 << 16, 4, 4), (1, 4, 11)],
+        ids=["row-tiles-1-thread", "2-row-tiles-1-thread", "few-tiles-4-threads",
+             "row-tiles-4-threads"],
+    )
+    def test_matches_pair_loop(self, tiling, rel, tile_pairs, workers, n_tiles):
+        pdf = _mixed(11) if rel == "mixed" else _wide()
+        space = build_predicate_space(pdf, min_overlap=0.0)
+        if rel == "wide":
+            assert len(space) > 64
+        calls = tiling(tile_pairs, workers)
+        TestAgainstPairLoop._check(pdf, space)
+        assert len(calls) == n_tiles
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("with_vios", [False, True])
+    def test_tiny_relations(self, n, with_vios):
+        pdf = _mixed(n)
+        space = build_predicate_space(_mixed(8), min_overlap=0.0)
+        ev = build_evidence_local(pdf, space, with_vios=with_vios)
+        ev.check()
+        bag, vios = _pair_loop(pdf, space)
+        assert ev.n_tuples == n and ev.total_pairs == n * (n - 1)
+        assert dict(zip(ev.masks, ev.counts.tolist())) == bag
+        if with_vios:
+            assert {m: ev.vios[i] for i, m in enumerate(ev.masks)} == vios
+        else:
+            assert ev.vios is None
+
+    @pytest.mark.parametrize("tile_pairs,workers", [(1, 1), (30, 4), (1 << 16, 4)])
+    @pytest.mark.parametrize("with_vios", [False, True])
+    def test_each_pair_evaluated_once(self, tiling, tile_pairs, workers, with_vios):
+        """``_keys`` evaluates exactly the n(n−1) off-diagonal pairs per
+        build, each once, whether or not ``vios`` is built."""
+        calls = tiling(tile_pairs, workers)
+        pdf = _mixed(9)
+        build_evidence_local(pdf, build_predicate_space(pdf, min_overlap=0.0), with_vios=with_vios)
+        assert sorted(p for pairs in calls for p in pairs) == list(
+            itertools.permutations(range(9), 2)
+        )

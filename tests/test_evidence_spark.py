@@ -368,6 +368,25 @@ class TestOracleViolationCounts:
         assert [d.violating_pairs_pandas(pdf) for d in dcs] == counts
         _assert_oracle_counts(spark, counts, dcs, pdf)
 
+    def test_column_names_needing_quotes(self, spark):
+        """Column names with a space, a dot, a backtick and a double quote
+        reach DuckDB as quoted identifiers: each predicate alone and a
+        two-tuple DC across them count as the evidence does."""
+        names = ["a b", "a.b", "a`b", 'a"b']
+        pdf = pd.DataFrame(
+            {c: [float((k * (i + 3)) % 4) for k in range(10)] for i, c in enumerate(names)}
+        )
+        pdf.loc[3, "a.b"] = float("nan")
+        space = build_predicate_space(pdf, min_overlap=0.0)
+        assert {p.lhs for p in space} == set(names)
+        dcs = [DenialConstraint.of(P("a b", Op.EQ, "a`b"), P("a.b", Op.GT, 'a"b'))]
+        dcs += [DenialConstraint.of(p) for p in space]
+        ev = build_evidence_spark(spark, spark.createDataFrame(pdf), space)
+        ev.check()
+        counts = [_violations(ev, d) for d in dcs]
+        assert [d.violating_pairs_pandas(pdf) for d in dcs] == counts
+        _assert_oracle_counts(spark, counts, dcs, pdf)
+
 
 class TestLineitemOracle:
     def test_discount_tax_dc_on_lineitem(self, spark):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import F1, F2, F3Greedy, build_evidence_local, build_predicate_space
-from repro.core.functions import UncoveredView, one_minus_f1
+from repro.core.enumerate import ADCEnum
+from repro.core.functions import UncoveredView, one_minus_f1, within_prop_53
 from repro.datasets import PHI1, PHI2, running_example
 from repro.sampling.threshold import F1Prime
 
@@ -237,3 +238,59 @@ class TestWeightThreshold:
         assert F3Greedy().max_passing_weight(ev, 0.01) is None
         assert F1Prime(0.05).max_passing_weight(ev, 0.5) is None
         assert F1().max_passing_weight(ev, 0.5) == ev.total_pairs // 2
+
+
+class TestProp53Cap:
+    """ADCEnum turns the Prop. 5.3 prefilter of f2/f3 into one integer cap
+    on the uncovered weight; its decision must stay ``passes``'s."""
+
+    @staticmethod
+    def _counting(f):
+        """``f`` with a ``passes`` that counts its calls in ``f.calls``."""
+        f.calls = 0
+        inner = f.passes
+
+        def passes(*args):
+            f.calls += 1
+            return inner(*args)
+
+        f.passes = passes
+        return f
+
+    @pytest.mark.parametrize("eps", [0.0, 0.005, 0.01, 0.05, 0.3])
+    @pytest.mark.parametrize("cls", [F2, F3Greedy], ids=["f2", "f3"])
+    def test_at_and_above_the_cap(self, ctx, cls, eps):
+        """At ``cap`` the prefilter holds and ``passes`` decides; at
+        ``cap + 1`` the prefilter fails, and the enumerator rejects without
+        calling ``passes`` but still counts an f-eval."""
+        _, _, ev = ctx
+        f = self._counting(cls())
+        algo = ADCEnum(ev, f, eps)
+        cap = algo.cap
+        assert within_prop_53(ev, UncoveredView((), cap), eps)
+        assert not within_prop_53(ev, UncoveredView((), cap + 1), eps)
+        rng = np.random.default_rng(int(eps * 1000))
+        for _ in range(10):
+            size = int(rng.integers(0, 6))
+            ids = sorted(rng.choice(ev.n_distinct, size=size, replace=False).tolist())
+            bits = sum(1 << i for i in ids)
+            for w in (cap, cap + 1):
+                calls, evals = f.calls, algo.stats.f_evals
+                got = algo._passes(bits, w)
+                assert algo.stats.f_evals == evals + 1
+                assert got == cls().passes(ev, UncoveredView(ids, w), eps)
+                assert f.calls == calls + (w <= cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_uncovered_sets(self, ctx, data):
+        """On the uncovered sets of a random hitting-set-side set, at their
+        true weight, the enumerator decides as ``passes``."""
+        _, space, ev = ctx
+        hs = data.draw(hitting_sets(len(space)))
+        eps = data.draw(st.sampled_from([0.0, 0.01, 0.03, 0.05, 0.1, 0.3]))
+        unc = uncovered_for_hs(ev, hs)
+        bits = sum(1 << i for i in unc)
+        weight = sum(int(ev.counts[i]) for i in unc)
+        for f in (F2(), F3Greedy()):
+            assert ADCEnum(ev, f, eps)._passes(bits, weight) == f.passes(ev, unc, eps)

@@ -74,6 +74,7 @@ class TestFigureJobs:
         r = out.iloc[0]
         for f in ("f1", "f2", "f3"):
             assert r[f"{f}_total_s"] > 0 and r[f"{f}_n_adcs"] > 0
+            assert r[f"{f}_f_evals"] >= r[f"{f}_nodes"] > 0  # one check per node at least
 
     def test_fig10(self, spark):
         out = fig10_set_choice.run(spark, n=50, seed=0, datasets=("airport",))
