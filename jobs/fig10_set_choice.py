@@ -3,6 +3,9 @@
 The paper deviates from Murakami & Uno by picking the uncovered set with
 the *maximal* candidate intersection; this job times both policies for the
 three approximation functions on the paper's three Figure-10 datasets.
+``{max,min}_infeasible`` counts the nodes each policy's tree cuts by the
+per-node bound (enumerate.py): the min pivot reaches few of them, since
+MMCS's choice already stops short of most dead subtrees.
 ``truncated`` marks rows where either policy hit ``max_results`` or the
 deadline, so their times and node counts are not comparable.
 """
@@ -32,6 +35,7 @@ def run(spark, n: int = 150, seed: int = 0, eps: float = 0.01,
                                       max_results=max_results)
                 row[f"{choose}_s"] = round(time.perf_counter() - t0, 3)
                 row[f"{choose}_nodes"] = stats.nodes
+                row[f"{choose}_infeasible"] = stats.infeasible
                 row["truncated"] |= stats.truncated
             row["n_adcs"] = len(res)
             rows.append(row)

@@ -1,8 +1,9 @@
 """Figure 6 (and 9) — ADCEnum vs SearchMC enumeration runtimes.
 
 Builds the evidence set once per dataset (f1, ε=``eps``, default 0.005) and
-times both enumeration algorithms on identical input. ``--samples`` mode
-repeats across sample fractions (the paper's Figure 9).
+times both enumeration algorithms on identical input, with the nodes each
+builds and the f checks each makes. ``--samples`` mode repeats across
+sample fractions (the paper's Figure 9).
 """
 import sys
 import time
@@ -38,6 +39,10 @@ def run(spark, n: int = 40, seed: int = 0, eps: float = 0.005,
                     "distinct_evidence": ev.n_distinct,
                     "adcenum_s": round(t_a, 3),
                     "searchmc_s": round(t_m, 3),
+                    "adcenum_nodes": st_a.nodes,
+                    "searchmc_nodes": st_m.nodes,
+                    "adcenum_f_evals": st_a.f_evals,
+                    "searchmc_f_evals": st_m.f_evals,
                     "speedup": round(t_m / t_a, 2) if t_a > 0 else float("inf"),
                     "n_adcs": len(res_a),
                     "truncated": st_a.truncated or st_m.truncated,

@@ -6,28 +6,46 @@ Implements Figures 3–5 of the paper: the MMCS algorithm of Murakami & Uno
 - an approximate base case ``1 − f(D,S) ≤ ε`` plus an explicit
   ``IsMinimal`` check (monotonicity makes one-element removals sufficient),
 - a second recursive branch that *skips* the chosen uncovered set F,
-  guarded by the ``canHit`` flags and the ``WillCover`` monotonicity prune,
+  guarded by the ``WillCover`` monotonicity prune,
 - ``RemoveRedundantPreds``: after adding predicate ``e`` to S, candidates
   differing from ``e`` only by the operator are dropped for the subtree,
 - pivot selection: the uncovered set with the **maximal** intersection with
   ``cand`` (paper §6.2; ``choose="min"`` reproduces [32] for Figure 10).
+
+One bound is added to Figure 4, at every node once the base case fails.
+Every descendant's S lies in S ∪ cand, so the uncovered sets that no
+predicate of ``cand`` hits (``dead``) stay uncovered in the whole subtree.
+If their weight alone exceeds ``cap`` — the largest uncovered weight that
+can pass, exact for the f1 family, the Prop. 5.3 bound for f2/f3 — no
+descendant passes and the node returns. MMCS returns at such a node too:
+its min pivot picks a set F with F ∩ cand = ∅ and finds nothing to branch
+on. ADCEnum's pivot skips those sets, so without the bound it walks the
+dead subtree to its leaves; WillCover only tests the skip branch. SearchMC
+(``searchmc.py``) tests the same bound at every node with a full f check.
+The bound also makes Figure 4's ``canHit`` flags redundant: the sets
+UpdateCanCover clears are ``dead`` everywhere below the skip branch that
+cleared them (cand only shrinks there), and the pivot is drawn from the
+uncovered sets outside ``dead``, so they are never chosen.
 
 With ``eps=0`` and ``F1`` the algorithm degenerates to exact MMCS — tests
 exploit this. ``RemoveRedundantPreds`` reads ``ev.space.group_others``; a
 space whose groups are empty turns the DC-specific pruning off, yielding a
 generic minimal-approximate-hitting-set enumerator (paper contribution 2).
 
-All sets are Python-int bitsets, as in MMCS and FastADC: ``uncov``,
-``canHit`` and ``crit[e]`` over evidence ids, ``cand`` over predicate ids,
-with ``rows[i]`` (evidence set i) and ``cols[e]`` (predicate e) as the two
-views of membership. Every set update is a few ``&``/``|``/``~``.
+All sets are Python-int bitsets, as in MMCS and FastADC: ``uncov`` and
+``crit[e]`` over evidence ids, ``cand`` over predicate ids, with
+``rows[i]`` (evidence set i) and ``cols[e]`` (predicate e) as the two
+views of membership. Every set update is a few ``&``/``|``/``~``; the
+weight of an evidence bitset and the cover of a predicate bitset are one
+table lookup per byte.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import reduce
-from operator import getitem, or_
+from operator import add, getitem, or_
 
 from .dc import DenialConstraint
 from .evidence import EvidenceSet
@@ -40,11 +58,27 @@ class EnumerationLimit(Exception):
 
 @dataclass
 class EnumStats:
+    """Counters of one enumeration run.
+
+    ADCEnum ends every node it builds in exactly one way, so on its runs
+    ``nodes == outputs + non_minimal + infeasible + no_pivot + expanded``
+    (truncated runs included). An expanded node may still skip a child:
+    ``willcover_skips`` counts skip branches WillCover cuts, ``crit_cuts``
+    hit-branch children cut because some u ∈ S lost every critical set.
+    SearchMC fills only the first five fields.
+    """
+
     nodes: int = 0
     outputs: int = 0
     f_evals: int = 0
     seconds: float = 0.0
     truncated: bool = False
+    non_minimal: int = 0  # passed the threshold, but some S∖{e} passes too
+    infeasible: int = 0  # the per-node bound: the dead sets alone fail
+    no_pivot: int = 0  # every uncovered set misses cand, within cap (f2/f3)
+    expanded: int = 0  # a pivot was chosen and both branches tried
+    willcover_skips: int = 0
+    crit_cuts: int = 0
 
 
 class _Bits:
@@ -62,6 +96,19 @@ class _Bits:
             low = x & -x
             yield low.bit_length() - 1
             x ^= low
+
+
+def _byte_tables(values: list, fold) -> list[list]:
+    """``tab[k][b]``: ``fold`` (``+`` or ``|``) over the ``values[8k..8k+7]``
+    that the bits of byte b select, so folding ``values`` over a bitset is
+    one lookup per byte of it."""
+    tabs = []
+    for k in range(0, len(values), 8):
+        tab = [0]
+        for v in values[k : k + 8]:
+            tab += [fold(t, v) for t in tab]
+        tabs.append(tab)
+    return tabs
 
 
 class ADCEnum:
@@ -103,14 +150,10 @@ class ADCEnum:
         for i, row in enumerate(self.rows):
             for e in _Bits(row):
                 self.cols[e] |= 1 << i
-        # wtab[k][b]: weight of the evidence sets 8k..8k+7 that byte b selects
-        counts = [int(c) for c in ev.counts] + [0] * 7
-        self.wtab = []
-        for k in range(0, len(self.rows), 8):
-            tab = [0]
-            for c in counts[k : k + 8]:
-                tab += [t + c for t in tab]
-            self.wtab.append(tab)
+        # wtab: the weight of a set of evidence ids; ctab: the evidence sets
+        # a set of predicate ids covers
+        self.wtab = _byte_tables([int(c) for c in ev.counts], add)
+        self.ctab = _byte_tables(self.cols, or_)
 
     # -- helpers --------------------------------------------------------------
 
@@ -131,92 +174,112 @@ class ADCEnum:
                 return False
         return True
 
-    def _choose_f(self) -> int | None:
-        """Pivot: the lowest uncovered, choosable set with max/min
-        |F ∩ cand| > 0."""
-        rows, cand, sign = self.rows, self.cand, self.sign
-        best, best_i = -self.n_elements - 1, None
-        for i in _Bits(self.uncov & self.canhit):
-            k = (rows[i] & cand).bit_count()
-            if k and sign * k > best:
-                best, best_i = sign * k, i
-        return best_i
-
-    def _check_limits(self) -> None:
-        if self.max_results is not None and len(self.results) >= self.max_results:
-            self.stats.truncated = True
-            raise EnumerationLimit
-        if self.timeout_s is not None and time.perf_counter() - self._t0 > self.timeout_s:
-            self.stats.truncated = True
-            raise EnumerationLimit
-
     # -- main recursion (Figure 4) --------------------------------------------
 
     def run(self) -> list[frozenset[int]]:
         all_sets = (1 << len(self.rows)) - 1
         self.uncov = all_sets
         self.uncov_weight = self._weight(all_sets)
-        self.canhit = all_sets
         self.cand = (1 << self.n_elements) - 1
         self.crit: dict[int, int] = {}
         self._t0 = time.perf_counter()
+        self._deadline = math.inf if self.timeout_s is None else self._t0 + self.timeout_s
+        self._max_results = math.inf if self.max_results is None else self.max_results
         try:
+            if self._max_results < 1:
+                raise EnumerationLimit
             self._recurse([])
         except EnumerationLimit:
-            pass
+            self.stats.truncated = True
         self.stats.seconds = time.perf_counter() - self._t0
         self.stats.outputs = len(self.results)
         return self.results
 
     def _recurse(self, S: list[int]) -> None:
-        self.stats.nodes += 1
-        self._check_limits()
+        stats = self.stats
+        if time.perf_counter() > self._deadline:
+            raise EnumerationLimit
+        stats.nodes += 1
+        uncov, cand, cap = self.uncov, self.cand, self.cap
 
         # base case (lines 1-3): threshold met → output iff minimal; any
-        # extension would be non-minimal, so return either way
-        if self._passes(self.uncov, self.uncov_weight):
+        # extension would be non-minimal, so return either way (_passes,
+        # inlined, as on every node)
+        stats.f_evals += 1
+        weight = self.uncov_weight
+        if weight <= cap and (
+            self.exact or self.f.passes(self.ev, UncoveredView(_Bits(uncov), weight), self.eps)
+        ):
             if self._is_minimal(S):
                 self.results.append(frozenset(S))
-                self._check_limits()
+                if len(self.results) >= self._max_results:
+                    raise EnumerationLimit
+            else:
+                stats.non_minimal += 1
             return
 
-        fi = self._choose_f()  # line 4
-        if fi is None:  # lines 5-6
+        # the bound at every node: every descendant's S lies in S ∪ cand, so
+        # the uncovered sets no predicate of cand hits stay uncovered below
+        # here; if they alone weigh more than any passing weight, no
+        # descendant passes (for MMCS's min pivot, such a set is an F with
+        # F ∩ cand = ∅)
+        wtab, ctab = self.wtab, self.ctab
+        reach = uncov & reduce(or_, map(getitem, ctab, cand.to_bytes(len(ctab), "little")), 0)
+        dead = uncov ^ reach
+        if dead and sum(map(getitem, wtab, dead.to_bytes(len(wtab), "little"))) > cap:
+            stats.infeasible += 1
             return
-        frow = self.rows[fi]
+
+        # line 4, the pivot: the lowest set in reach with max/min |F ∩ cand|.
+        # reach holds the uncovered sets with |F ∩ cand| > 0; the sets
+        # Figure 4's canHit marks unhittable are never in it, as they miss
+        # the skip branch's cand and cand below there only shrinks
+        rows, sign = self.rows, self.sign
+        best, fi = -self.n_elements - 1, -1
+        x = reach
+        while x:
+            low = x & -x
+            x ^= low
+            i = low.bit_length() - 1
+            k = sign * (rows[i] & cand).bit_count()
+            if k > best:
+                best, fi = k, i
+        if fi < 0:  # lines 5-6
+            stats.no_pivot += 1
+            return
+        stats.expanded += 1
+        frow = rows[fi]
 
         # ---- branch 1 (lines 7-12): do NOT hit F -----------------------------
-        removed = frow & self.cand
-        self.cand ^= removed
-        # cand-disjoint uncovered sets: both the canHit update and WillCover
-        # need them (UpdateCanCover marks them unhittable; WillCover sums them)
-        disjoint = self.uncov & ~reduce(or_, [self.cols[e] for e in _Bits(self.cand)], 0)
-        flipped = disjoint & self.canhit
-        self.canhit ^= flipped  # UpdateCanCover
-        if self._passes(disjoint, self._weight(disjoint)):  # WillCover
+        C = frow & cand
+        self.cand = rest = cand ^ C
+        # WillCover: the uncovered sets no predicate of the smaller cand hits
+        # (UpdateCanCover's unhittable sets) must not fail f on their own
+        disjoint = uncov & ~reduce(or_, map(getitem, ctab, rest.to_bytes(len(ctab), "little")), 0)
+        if self._passes(disjoint, sum(map(getitem, wtab, disjoint.to_bytes(len(wtab), "little")))):
             self._recurse(S)
-        self.canhit |= flipped  # line 12
-        self.cand |= removed  # line 11
+        else:
+            stats.willcover_skips += 1
 
         # ---- branch 2 (lines 13-22): hit F -----------------------------------
-        C = frow & self.cand
-        self.cand ^= C
+        # lines 11 and 13 put C back into cand and take it out again: cand
+        # stays rest
+        crit, cols = self.crit, self.cols
         for e in _Bits(C):
-            ecol = self.cols[e]
+            ecol = cols[e]
             # UpdateCritUncov (Figure 3)
-            newly = ecol & self.uncov
-            newly_weight = self._weight(newly)
-            self.uncov ^= newly
-            self.uncov_weight -= newly_weight
-            self.crit[e] = newly
+            newly = ecol & uncov
+            self.uncov = uncov ^ newly
+            self.uncov_weight = weight - sum(map(getitem, wtab, newly.to_bytes(len(wtab), "little")))
+            crit[e] = newly
             moved: dict[int, int] = {}
             ok = True
             for u in S:
-                cu = self.crit[u]
+                cu = crit[u]
                 mv = cu & ecol
                 if mv:
                     moved[u] = mv
-                    self.crit[u] = cu = cu ^ mv
+                    crit[u] = cu = cu ^ mv
                 if not cu:
                     ok = False  # u no longer critical anywhere → prune (line 17)
             if ok:
@@ -226,14 +289,14 @@ class ADCEnum:
                 self._recurse(S + [e])
                 # line 20: add e back too, as the crit test succeeded
                 self.cand |= grp | 1 << e
+            else:
+                stats.crit_cuts += 1
             # line 21: undo UpdateCritUncov
-            self.uncov |= newly
-            self.uncov_weight += newly_weight
-            del self.crit[e]
+            del crit[e]
             for u, mv in moved.items():
-                self.crit[u] |= mv
-        # line 22: restore cand to its state on entry to the loop
-        self.cand |= C
+                crit[u] |= mv
+        # line 22: restore cand, uncov and its weight to their state on entry
+        self.cand, self.uncov, self.uncov_weight = cand, uncov, weight
 
 
 def adc_enum(

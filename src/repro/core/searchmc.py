@@ -10,7 +10,7 @@ Differences from ADCEnum (what the paper's contribution removes):
 
 - no ``crit`` structure → no criticality pruning; minimality is enforced by
   an explicit per-candidate check plus a global subset filter,
-- no ``canHit``/skip branch → the search tree is the classic "each branch
+- no skip branch → the search tree is the classic "each branch
   excludes the predicates ordered before it" subset tree,
 - the only prune is the WillCover-style bound (S ∪ remaining candidates
   must be able to reach the threshold — monotonicity).

@@ -17,7 +17,7 @@ from repro.core import (
 )
 from repro.core.enumerate import hitting_sets_to_dcs
 from repro.core.evidence import EvidenceSet
-from repro.core.functions import ApproximationFunction
+from repro.core.functions import ApproximationFunction, UncoveredView, _uncovered_weight
 from repro.core.predicates import pair_grid
 from repro.datasets import DATASETS, PHI1, running_example
 from repro.sampling.threshold import F1Prime
@@ -45,7 +45,21 @@ class FracF1(ApproximationFunction):
         tot = int(ev.counts.sum())
         if tot == 0:
             return 1.0
-        return 1.0 - sum(int(ev.counts[i]) for i in uncovered) / tot
+        return 1.0 - _uncovered_weight(ev, uncovered) / tot
+
+
+class CappedFracF1(FracF1):
+    """FracF1 with an exact cap, so ADCEnum checks it by one integer compare
+    and its per-node bound can fire (FracF1's cap is the whole bag): the
+    largest weight of the bag that its own ``passes`` lets through."""
+
+    def max_passing_weight(self, ev, eps):
+        bag = int(ev.counts.sum())
+        return max([-1] + [w for w in range(bag + 1) if self.passes(ev, UncoveredView((), w), eps)])
+
+
+def end_reasons(stats) -> int:
+    return stats.outputs + stats.non_minimal + stats.infeasible + stats.no_pivot + stats.expanded
 
 
 def make_instance(masks, counts, n_el) -> EvidenceSet:
@@ -103,6 +117,29 @@ class TestAgainstBruteForce:
         got_max, _ = adc_enum(ev, FracF1(), eps, choose="max")
         got_min, _ = adc_enum(ev, FracF1(), eps, choose="min")
         assert set(got_max) == set(got_min)
+
+    @settings(max_examples=120, deadline=None)
+    @given(inst=instances())
+    @pytest.mark.parametrize("choose", ["max", "min"])
+    def test_capped_matches_brute_force(self, inst, choose):
+        masks, counts, n_el, eps = inst
+        ev = make_instance(masks, counts, n_el)
+        got, stats = adc_enum(ev, CappedFracF1(), eps, choose=choose)
+        assert len(got) == len(set(got)), "duplicate outputs"
+        assert set(got) == brute_force(masks, counts, n_el, eps)
+        assert stats.nodes == end_reasons(stats)
+
+    def test_bound_prunes_a_node(self):
+        # cap 0: the pivot {0,1}'s skip branch fails WillCover; hitting it
+        # with 0 leaves {1} uncovered while cand is empty, so node {0} is cut
+        # by the bound (uncapped, it ends for want of a pivot instead)
+        masks, counts = [0b11, 0b10], [1, 1]
+        ev = make_instance(masks, counts, 2)
+        got, stats = adc_enum(ev, CappedFracF1(), 0.1)
+        assert set(got) == brute_force(masks, counts, 2, 0.1) == {frozenset({1})}
+        assert (stats.nodes, stats.infeasible, stats.no_pivot) == (3, 1, 0)
+        _, stats = adc_enum(ev, FracF1(), 0.1)
+        assert (stats.nodes, stats.infeasible, stats.no_pivot) == (3, 0, 1)
 
     def test_eps_zero_is_exact_mmcs(self):
         # K={0,1,2,3}, M={{0,1},{1,2},{2,3}} → minimal hitting sets
@@ -162,20 +199,27 @@ class TestSearchTreePinned:
 
     PINNED = {
         # (function, choose): (nodes, f_evals)
-        ("f1", "max"): (52378, 114960),
-        ("f1", "min"): (15207, 57533),
-        ("f2", "max"): (50019, 79269),
-        ("f2", "min"): (6100, 12127),
-        ("f3", "max"): (50019, 79269),
-        ("f3", "min"): (6100, 12127),
+        ("f1", "max"): (42848, 100719),
+        ("f1", "min"): (14310, 56015),
+        ("f2", "max"): (45127, 71827),
+        ("f2", "min"): (5914, 11794),
+        ("f3", "max"): (45127, 71827),
+        ("f3", "min"): (5914, 11794),
     }
     PINNED_CANONICAL = {
-        ("f1", "max"): (50543, 112324),
-        ("f1", "min"): (13463, 54817),
-        ("f2", "max"): (50380, 80112),
-        ("f2", "min"): (4974, 9257),
-        ("f3", "max"): (50380, 80112),
-        ("f3", "min"): (4974, 9257),
+        ("f1", "max"): (42801, 100055),
+        ("f1", "min"): (12695, 53821),
+        ("f2", "max"): (45638, 72512),
+        ("f2", "min"): (4920, 9197),
+        ("f3", "max"): (45638, 72512),
+        ("f3", "min"): (4920, 9197),
+    }
+    #: how each node of the canonical max-pivot trees ends, and the children
+    #: their expanded nodes skip: (outputs, non_minimal, infeasible,
+    #: no_pivot, expanded, willcover_skips, crit_cuts)
+    PINNED_ENDS = {
+        "f1": (5382, 3102, 12232, 0, 22085, 21382, 27375),
+        "f2": (512, 0, 8839, 11238, 25049, 25049, 31143),
     }
 
     @pytest.fixture(scope="class")
@@ -219,13 +263,20 @@ class TestSearchTreePinned:
         assert not stats.truncated
         assert (stats.nodes, stats.f_evals) == self.PINNED_CANONICAL[(f.name, choose)]
 
+    @pytest.mark.parametrize("f", [F1(), F2()], ids=["f1", "f2"])
+    def test_canonical_end_reasons(self, canonical, f):
+        _, st = adc_enum(canonical, f, 0.005)
+        ends = (st.outputs, st.non_minimal, st.infeasible, st.no_pivot, st.expanded)
+        assert st.nodes == end_reasons(st)
+        assert ends + (st.willcover_skips, st.crit_cuts) == self.PINNED_ENDS[f.name]
+
     #: f1' (§7.2) on the same evidence, read as a sample: (alpha, choose) ->
     #: (nodes, f_evals), canonical order
     PINNED_F1PRIME = {
-        (0.05, "max"): (51560, 104632),
-        (0.05, "min"): (10323, 39972),
-        (0.01, "max"): (51956, 100774),
-        (0.01, "min"): (9060, 34025),
+        (0.05, "max"): (42473, 90102),
+        (0.05, "min"): (9423, 38820),
+        (0.01, "max"): (42020, 84907),
+        (0.01, "min"): (7836, 32459),
     }
 
     @pytest.mark.parametrize("alpha, choose", sorted(PINNED_F1PRIME))
@@ -241,6 +292,7 @@ class TestLimits:
         ev = make_instance(masks, [1] * 8, 8)
         got, stats = adc_enum(ev, FracF1(), 0.0, max_results=1)
         assert len(got) == 1 and stats.truncated
+        assert stats.nodes == end_reasons(stats)
 
     def test_timeout_flag(self):
         masks = [1 << i for i in range(10)]

@@ -45,6 +45,8 @@ class TestFigureJobs:
         assert not out["truncated"].any()
         assert out["agree"].tolist() == [True] * len(out)
         assert (out["adcenum_s"] > 0).all()
+        assert (out["adcenum_f_evals"] >= out["adcenum_nodes"]).all()  # one check per node
+        assert (out[["adcenum_nodes", "searchmc_nodes", "searchmc_f_evals"]] > 0).all(axis=None)
         # the paper's claim: ADCEnum beats SearchMC on the same evidence
         assert (out["searchmc_s"] > out["adcenum_s"]).all()
 
@@ -84,6 +86,8 @@ class TestFigureJobs:
         complete = out[~out["truncated"]]
         assert len(complete) >= 2
         assert (complete["min_nodes"] < complete["max_nodes"]).all()
+        # the per-node bound cuts the max pivot's dead subtrees
+        assert (complete["max_infeasible"] > 0).all()
 
     def test_fig11(self, spark):
         out = fig11_sampling_quality.run(
