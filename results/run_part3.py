@@ -1,8 +1,7 @@
-import sys, time
+import sys
 sys.path.insert(0, ".")
 from jobs.common import get_spark, print_table
-from jobs import table5_adc_vs_valid, fig14_grecall
-import pandas as pd
+from jobs import evidence_scaling, table5_adc_vs_valid, fig14_grecall
 
 spark = get_spark("experiments-3")
 out = fig14_grecall.run(spark, n=300, seed=0, noise_rate=0.01)
@@ -10,22 +9,7 @@ print_table("FIG 14 (rate=0.01)", out); out.to_csv("results/fig14b.csv", index=F
 out = table5_adc_vs_valid.run(spark, n=300, seed=0)
 print_table("TABLE 5 (fixed)", out); out.to_csv("results/table5.csv", index=False)
 
-# evidence-build scaling: the quadratic mechanism behind Figure 12
-from repro.core import build_evidence_spark, build_predicate_space, with_rid
-from repro.datasets import DATASETS
-rows = []
-for n in (300, 600, 1200):
-    spec = DATASETS["tax"](n, seed=0)
-    space = build_predicate_space(spec.pdf)
-    df = with_rid(spark.createDataFrame(spec.pdf)).cache(); df.count()
-    for frac in (0.4, 1.0):
-        sub = df if frac == 1.0 else df.sample(False, frac, seed=1).cache()
-        t0 = time.perf_counter()
-        ev = build_evidence_spark(spark, sub, space)
-        rows.append({"n": n, "sample": frac, "pairs": ev.total_pairs,
-                     "evidence_s": round(time.perf_counter() - t0, 2)})
-    df.unpersist()
-out = pd.DataFrame(rows)
+out = evidence_scaling.run(spark, n=3000, seed=0)
 print_table("EVIDENCE SCALING (tax)", out); out.to_csv("results/evidence_scaling.csv", index=False)
 spark.stop()
 print("DONE-PART-3")

@@ -8,14 +8,25 @@ ADCEnum and the approximation functions operate on.
 Builders:
 
 - :func:`build_evidence_local` — the evidence kernel, over a pandas frame.
-  It encodes each column once, cuts the n×n pair grid into row-block
-  tiles, evaluates one representative per complement pair (``=``, ``<``,
-  ``>``) per tile and takes ``≠``, ``≥``, ``≤`` as its bitwise NOT, packs
-  the bits eight to a byte into uint64 words, drops the ``t = t'`` cells
-  and pre-aggregates the tile with ``np.unique``. Tiles run on driver
-  threads (numpy releases the GIL in these loops) and are merged on the
-  driver. This plays the role of DCFinder's [37] bit-level evidence
-  builder (see DESIGN.md §2).
+  It encodes each column once, in the narrowest type that holds its
+  values exactly, and cuts the n×n pair grid into row-block tiles of
+  equal height, in rounds of one tile per thread. Within a group of predicates on one attribute pair (one
+  ``group_key``), ``=``, ``<`` and ``>`` exclude each other and ``≠``,
+  ``≥``, ``≤`` are their NOTs, so a pair's ``Sat`` over the group is one of
+  at most four *states*: none of the group's representatives holds (also
+  on a null or NaN), or exactly its ``j``-th one does. The groups' states
+  are packed mixed-radix into one small integer code per pair, and a
+  tile builds it with one compare per representative and one add of
+  ``j · radix`` where it holds. When the code space (the product of the
+  groups' state counts) is small, a tile is counted by ``np.bincount``
+  over all its cells, with no sort; else by ``np.unique`` over the codes,
+  split across several uint64 words (void items) when the space reaches
+  2⁶⁴. Either way the tile counts every cell and subtracts its ``t = t'``
+  cells. Tiles run on driver threads (numpy releases the GIL in these
+  loops) and are merged on the driver; each distinct code becomes its
+  predicate bitmask once, through per-group tables. This plays the role
+  of DCFinder's [37] evidence builder and FastADC's per-group clues (see
+  DESIGN.md §2).
 - :func:`build_evidence_spark` — the production entry for a Spark frame:
   one Arrow collect of its rows, then the kernel. The evidence is collected
   to the driver anyway, and the collect moves O(n) rows, not O(n²) pairs.
@@ -30,11 +41,14 @@ All three take ``with_vios``: it also fills the ``vios`` structure of
 Figure 2 (per evidence set, per tuple pair counts, needed by f2 and
 GreedyF3), each ordered pair counted once for each of its two tuples.
 The kernel gets it from the same one evaluation per pair: each tile
-writes its pairs' local mask ids into an n×n int32 grid, the merge maps
-them to global ids (the ``t = t'`` diagonal to a spare id), and a tuple's
-counts are its grid row's histogram plus its grid column's, by
+writes its pairs' codes (for a small code space; else their indices into
+the tile's distinct codes) into one n×n pair grid, the merge maps them to
+global ids by a lookup table (the ``t = t'`` diagonal to a spare id), and
+a tuple's counts are its grid row's histogram plus its grid column's, by
 ``np.bincount`` over blocks of rows and of columns on the tile threads.
-The grid costs n²·4 bytes.
+The grid holds the smallest unsigned type that fits its ids: at most
+n²·2 bytes (uint16) when tiles are counted by ``np.bincount``, else n²·4
+bytes (uint32) for n ≥ 256.
 :func:`build_vios_spark` is the Spark builder with ``with_vios`` set.
 Every builder returns its masks in one canonical order (count descending,
 then mask ascending), so ADCEnum walks the same tree whatever builder,
@@ -55,13 +69,22 @@ from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from .predicates import PY_OP, REPRESENTATIVE, Predicate, PredicateSpace, is_numeric_dtype
+from .predicates import REPRESENTATIVE, Op, Predicate, PredicateSpace, is_numeric_dtype
 
 RID = "__rid"
 
 #: Pairs per tile of the kernel at most: a tile is whole rows of the pair
-#: grid, at least one.
-_TILE_PAIRS = 1 << 16
+#: grid, at least one. The tile threads take the GIL between numpy calls
+#: (and through ``np.bincount``), so a tile's calls must be long for the
+#: threads to overlap: 2^18 built the two Spark benchmark inputs 25–45%
+#: faster than 2^16 on 4 cores, for about 3.3 MB of buffers per thread.
+_TILE_PAIRS = 1 << 18
+
+#: Code spaces of at most this many codes are counted per tile by
+#: ``np.bincount``; larger ones by ``np.unique`` over the tile's codes. On a
+#: 64k-pair tile the two cost the same near 2^15 codes (4 cores, numpy 1.26);
+#: above it the histogram's zeroing and nonzero scan dominate.
+_DENSE_CODES = 1 << 15
 
 
 def _quote(name: str) -> str:
@@ -128,19 +151,29 @@ def _finish(
 
 # -- the kernel ---------------------------------------------------------------
 
+#: The ufunc of each representative, so a tile compares into a reused buffer.
+_UFUNC = {Op.EQ: np.equal, Op.LT: np.less, Op.GT: np.greater}
+
 
 def _encode(pdf: pd.DataFrame) -> dict[str, np.ndarray]:
     """The column arrays the kernel compares.
 
-    Numeric columns stay as they are. The other columns are factorized
-    against one code table they all share, so equal values get equal codes
-    in every column and cross-column equality still holds; the codes keep
-    the values' order where the values order among each other. A null
-    becomes NaN, which every raw comparison reads as false: that is the
-    rule of :meth:`Predicate.eval` with no extra pass over the tile.
+    Numeric columns stay as they are; numeric extension arrays (``boolean``,
+    ``Int64``, ``Float64``, ...) are read as float64 with NaN for NA. The
+    other columns are factorized against one code table they all share, so
+    equal values get equal codes in every column and cross-column equality
+    still holds; the codes keep the values' order where the values order
+    among each other. In a column with a null, the null becomes NaN, which
+    every raw comparison reads as false: that is the rule of
+    :meth:`Predicate.eval` with no extra pass over the tile.
     """
     n = len(pdf)
-    cols = {c: pdf[c].to_numpy() for c in pdf.columns if is_numeric_dtype(pdf[c])}
+    cols = {}
+    for c, s in pdf.items():
+        if isinstance(s.dtype, pd.api.extensions.ExtensionDtype) and pd.api.types.is_numeric_dtype(s):
+            cols[c] = _narrow(s.to_numpy(dtype=np.float64, na_value=np.nan))
+        elif is_numeric_dtype(s):
+            cols[c] = _narrow(s.to_numpy())
     other = [c for c in pdf.columns if c not in cols]
     if other:
         values = pd.concat([pdf[c] for c in other], ignore_index=True)
@@ -148,48 +181,155 @@ def _encode(pdf: pd.DataFrame) -> dict[str, np.ndarray]:
             codes, _ = pd.factorize(values, sort=True)
         except TypeError:  # values of types that do not order among each other
             codes, _ = pd.factorize(values)
-        codes = np.where(codes < 0, np.nan, codes)
-        cols.update((c, codes[k * n : (k + 1) * n]) for k, c in enumerate(other))
+        for k, c in enumerate(other):
+            v = codes[k * n : (k + 1) * n]
+            cols[c] = _narrow(np.where(v < 0, np.nan, v) if (v < 0).any() else v)
     return cols
 
 
-def _keys(cols, plan, flip, ts: slice, ss: slice, keep: np.ndarray) -> np.ndarray:
-    """The mask key of each pair ``(t, t')`` with ``t`` in rows ``ts`` and
-    ``t'`` in rows ``ss`` where ``keep`` (shaped as that grid) holds, in
-    row-major order: a uint64 when the space fits one word, else a void
-    item of its words' bytes."""
-    t = {c: v[ts, None] for c, v in cols.items()}
-    s = {c: v[None, ss] for c, v in cols.items()}
-    nb = len(flip)
-    by = np.zeros((nb,) + keep.shape, dtype=np.uint8)  # byte j: predicates 8j..8j+7
-    tmp = np.empty(keep.shape, dtype=np.uint8)
+def _narrow(v: np.ndarray) -> np.ndarray:
+    """``v`` in the narrowest type of its kind that holds every value
+    exactly, so every comparison reads the same and costs less: a tile's
+    compare runs at the width of its operands."""
+    if v.size and v.dtype.kind in "iu":
+        # a signed minimum with an unsigned 64-bit maximum promotes to float
+        narrow = np.result_type(np.min_scalar_type(v.min()), np.min_scalar_type(v.max()))
+        return v.astype(narrow) if narrow.kind in "iu" else v
+    if v.dtype == np.float64:
+        narrow = v.astype(np.float32)
+        if np.array_equal(narrow, v, equal_nan=True):
+            return narrow
+    return v
+
+
+@dataclass(frozen=True)
+class _Codes:
+    """The group state codes of a predicate space (see module doc).
+
+    A group's state is 0 when none of its representatives holds and ``j``
+    when its ``j``-th representative does; the groups are packed mixed-radix
+    into code words of fewer than 2⁶⁴ codes each. A group with all of
+    ``=``, ``<``, ``>`` on columns with no null or NaN is never in state 0,
+    so its ``=`` is not evaluated: its word starts at the ``=`` state and
+    ``<``, ``>`` add the difference.
+    """
+
+    #: (representative, code word, what it adds to the word where it holds)
+    steps: list[tuple[Predicate, int, int]]
+    #: (code word, radix, states, the mask words of each state)
+    groups: list[tuple[int, int, int, np.ndarray]]
+    #: codes per word
+    sizes: list[int]
+    #: the code each word starts from
+    bases: list[int]
+    #: 64-bit words per predicate bitmask
+    n_words: int
+
+    @classmethod
+    def of(cls, space: PredicateSpace, known: frozenset[str] = frozenset()) -> "_Codes":
+        """The codes of ``space``; ``known``: the columns with no null or NaN."""
+        members: dict[tuple, list[int]] = {}
+        for k, p in enumerate(space.predicates):
+            members.setdefault(p.group_key, []).append(k)
+        steps, groups, sizes, bases = [], [], [1], [0]
+        for ids in members.values():
+            preds = [space.predicates[k] for k in ids]
+            reps = [p if p.op in REPRESENTATIVE else p.complement for p in preds]
+            held = sorted(set(reps), key=lambda r: list(_UFUNC).index(r.op))
+            if sizes[-1] * (1 + len(held)) >= 1 << 64:
+                sizes.append(1)
+                bases.append(0)
+            w, radix = len(sizes) - 1, sizes[-1]
+            if len(held) == 3 and {preds[0].lhs, preds[0].rhs} <= known:
+                bases[w] += radix
+                steps += [(r, w, (j - 1) * radix) for j, r in enumerate(held[1:], 2)]
+            else:
+                steps += [(r, w, j * radix) for j, r in enumerate(held, 1)]
+            states = [None] + held  # the representative that holds in each state
+            masks = [
+                sum(1 << k for k, p, r in zip(ids, preds, reps)
+                    if (r == rep) != (p.op not in REPRESENTATIVE))
+                for rep in states
+            ]
+            table = np.array(
+                [[m >> 64 * i & (1 << 64) - 1 for i in range(space.n_words)] for m in masks],
+                dtype=np.uint64,
+            )
+            groups.append((w, radix, len(states), table))
+            sizes[-1] *= len(states)
+        return cls(steps, groups, sizes, bases, space.n_words)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The smallest unsigned type that holds every code and the code count."""
+        return np.min_scalar_type(self.sizes[0]) if len(self.sizes) == 1 else np.dtype(np.uint64)
+
+    @property
+    def dense(self) -> bool:
+        """Whether tiles are counted by ``np.bincount`` over the whole code space."""
+        return len(self.sizes) == 1 and self.sizes[0] <= _DENSE_CODES
+
+    def masks(self, keys: np.ndarray) -> list[int]:
+        """The predicate bitmask of each code in ``keys`` (void items for a
+        code of several words)."""
+        words = keys.view(np.uint64).reshape(len(keys), -1) if keys.dtype.kind == "V" else keys
+        out = np.zeros((len(keys), self.n_words), dtype=np.uint64)
+        for w, radix, states, table in self.groups:
+            col = words if words.ndim == 1 else words[:, w]
+            out |= table[col.astype(np.uint64) // np.uint64(radix) % np.uint64(states)]
+        if out.shape[1] == 1:
+            return out[:, 0].tolist()
+        return [int.from_bytes(m.tobytes(), "little") for m in out]
+
+
+def _tile(cols, codes: _Codes, n: int, lo: int, hi: int, grid: np.ndarray | None):
+    """The pre-aggregated evidence of the pairs ``(t, t')`` whose first tuple
+    is a row in ``[lo, hi)``, ``t = t'`` excluded: distinct codes and their
+    counts. Given the pair ``grid``, also writes to its rows ``[lo, hi)``
+    each pair's code (dense codes) or index into the returned codes."""
+    r = hi - lo
+    words = len(codes.sizes)
+    if grid is not None and codes.dense:
+        code = grid[None, lo:hi]
+    else:
+        code = np.empty((words, r, n), dtype=codes.dtype)
+    code[...] = np.array(codes.bases, dtype=codes.dtype)[:, None, None]
+    t = {c: v[lo:hi, None] for c, v in cols.items()}
+    s = {c: v[None, :] for c, v in cols.items()}
+    sat = np.empty((r, n), dtype=bool)
+    add = np.empty((r, n), dtype=codes.dtype)
+    # the loop below holds the GIL only between numpy calls, so it is set up first;
+    # a single-tuple representative is one value per row
+    steps = [
+        (_UFUNC[rep.op], t[rep.lhs], (t if rep.single_tuple else s)[rep.rhs],
+         sat[:, :1] if rep.single_tuple else sat, code[w], codes.dtype.type(c))
+        for rep, w, c in codes.steps
+    ]
     with np.errstate(invalid="ignore"):  # NaN compares false, silently
-        for rep, bits in plan.items():
-            right = t if rep.single_tuple else s
-            sat = np.asarray(PY_OP[rep.op](t[rep.lhs], right[rep.rhs]), dtype=bool).view(np.uint8)
-            for k in bits:
-                np.left_shift(sat, k % 8, out=tmp)
-                np.bitwise_or(by[k // 8], tmp, out=by[k // 8])
-    by ^= flip[:, None, None]  # ≠, ≥, ≤: the NOT of their representative
-    pairs = np.ascontiguousarray(by.reshape(nb, -1)[:, keep.ravel()].T)
-    # a 1-D unique over these keys beats np.unique(axis=0) over word rows
-    return pairs.view("<u8").ravel() if nb == 8 else pairs.view(np.dtype((np.void, nb))).ravel()
-
-
-def _tile(cols, plan, flip, n: int, lo: int, hi: int, grid: np.ndarray | None):
-    """The pre-aggregated evidence of the pairs whose first tuple is a row
-    in ``[lo, hi)``: distinct mask keys and their counts. Given the pair
-    ``grid``, also writes each pair's index into those keys to its cell in
-    the grid's rows ``[lo, hi)``, and ``len(keys)`` to the ``t = t'`` cells."""
-    ids = np.arange(n)
-    out = ids[lo:hi, None] != ids[None, :]  # (t, t') with t here and t ≠ t'
-    keys = _keys(cols, plan, flip, slice(lo, hi), slice(0, n), out)
+        for op, a, b, holds, acc, c in steps:
+            op(a, b, out=holds)
+            np.multiply(holds, c, out=add)
+            np.add(acc, add, out=acc)
+    diag = np.arange(r) * (n + 1) + lo  # the t = t' cells
+    if codes.dense:
+        flat = code.reshape(-1)
+        h = np.bincount(flat, minlength=codes.sizes[0])
+        np.subtract.at(h, flat[diag], 1)
+        keys = np.flatnonzero(h)
+        return keys, h[keys]
+    if words == 1:
+        flat = code.reshape(-1)
+    else:  # a 1-D unique over void items beats np.unique(axis=0) over word rows
+        flat = np.ascontiguousarray(code.reshape(words, -1).T)
+        flat = flat.view(np.dtype((np.void, 8 * words))).ravel()
     if grid is None:
-        return np.unique(keys, return_counts=True)
-    uniq, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    grid[lo:hi][out] = inv
-    np.fill_diagonal(grid[lo:hi, lo:], len(uniq))
-    return uniq, counts
+        keys, counts = np.unique(flat, return_counts=True)
+        np.subtract.at(counts, np.searchsorted(keys, flat[diag]), 1)
+    else:
+        keys, inv, counts = np.unique(flat, return_inverse=True, return_counts=True)
+        np.subtract.at(counts, inv[diag], 1)
+        grid[lo:hi] = inv.reshape(r, n)
+    return keys, counts
 
 
 def _per_tuple(grid: np.ndarray, k: int, lo: int, hi: int):
@@ -215,41 +355,44 @@ def build_evidence_local(
     if n < 2:
         return _finish(space, n, [], [], [] if with_vios else None)
     cols = _encode(work)
-    plan: dict[Predicate, list[int]] = {}  # representative -> the bits it sets
-    for k, p in enumerate(space.predicates):
-        plan.setdefault(p if p.op in REPRESENTATIVE else p.complement, []).append(k)
-    flip = sum(1 << k for k, p in enumerate(space.predicates) if p.op not in REPRESENTATIVE)
-    flip = np.frombuffer(flip.to_bytes(8 * space.n_words, "little"), dtype=np.uint8)
+    codes = _Codes.of(space, frozenset(c for c, v in cols.items() if not pd.isna(v).any()))
     # one thread per core: more only contend (8 threads on 4 cores were
-    # slower than 4); at least one tile per thread
+    # slower than 4); tiles of equal rows, in rounds of one per thread
     workers = os.cpu_count() or 1
-    rows = max(1, min(_TILE_PAIRS // n, -(-n // workers)))
+    rounds = -(-n // (workers * max(1, _TILE_PAIRS // n)))
+    rows = -(-n // (workers * rounds))
     starts = range(0, n, rows)
-    grid = np.empty((n, n), dtype=np.int32) if with_vios else None
+    grid = None
+    if with_vios:  # codes, or indices into a tile's codes; then global ids
+        grid = np.empty((n, n), dtype=codes.dtype if codes.dense else np.min_scalar_type(n * n))
     with ThreadPoolExecutor(workers) as pool:
-        parts = list(pool.map(
-            lambda lo: _tile(cols, plan, flip, n, lo, min(n, lo + rows), grid), starts
-        ))
-        # merge the tiles: one global id per distinct mask key
+        parts = list(pool.map(lambda lo: _tile(cols, codes, n, lo, min(n, lo + rows), grid), starts))
+        # merge the tiles: one global id per distinct code that some pair has
         keys, gid = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
         counts = np.bincount(gid, np.concatenate([p[1] for p in parts]), len(keys))
+        live = counts > 0  # codes seen only on t = t' cells drop out
+        keys, counts = keys[live], counts[live]
         if with_vios:
             k = len(keys)  # the id of the t = t' cells
+            if codes.dense:
+                lut = np.full(codes.sizes[0], k, dtype=grid.dtype)
+                lut[keys] = np.arange(k)
+                luts = [lut] * len(starts)
+            else:
+                gid = (np.cumsum(live) - live)[gid]  # live ids before; a dead one is on t = t' only
+                luts = np.split(gid.astype(grid.dtype), np.cumsum([len(p[0]) for p in parts])[:-1])
 
-            def to_global(lo: int, ids: np.ndarray) -> None:  # local id i → ids[i], t = t' → k
-                grid[lo : lo + rows] = np.append(ids, k).astype(np.int32)[grid[lo : lo + rows]]
+            def to_global(lo: int, lut: np.ndarray) -> None:
+                grid[lo : lo + rows] = lut[grid[lo : lo + rows]]
+                np.fill_diagonal(grid[lo : lo + rows, lo:], k)
 
-            tile_ids = np.split(gid, np.cumsum([len(p[0]) for p in parts])[:-1])
-            list(pool.map(to_global, starts, tile_ids))
+            list(pool.map(to_global, starts, luts))
             # tuples per block: its dense histograms hold max(_TILE_PAIRS, k + 1) counts at most
             step = max(1, min(rows, _TILE_PAIRS // (k + 1)))
             per = list(pool.map(
                 lambda lo: _per_tuple(grid, k, lo, min(n, lo + step)), range(0, n, step)
             ))
-    if keys.dtype.kind == "u":
-        masks = keys.tolist()
-    else:
-        masks = [int.from_bytes(k.tobytes(), "little") for k in keys]
+    masks = codes.masks(keys)
     vios = None
     if with_vios:
         g = np.concatenate([p[0] for p in per])

@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.core import build_evidence_local, build_predicate_space, evidence
-from repro.core.predicates import REPRESENTATIVE, Op, Predicate
+from repro.core.predicates import REPRESENTATIVE, Op, Predicate, PredicateSpace
 from repro.datasets import DATASETS, PHI1, PHI2, running_example
 
 
@@ -110,14 +110,17 @@ class TestAgainstDirectCounts:
         assert len(masks_with_lt) == 1
 
 
-def _pair_loop(pdf, space):
+def _pair_loop(pdf, space, firsts=None):
     """Reference evidence: every ordered pair, predicate by predicate, with
     the null rule of DESIGN.md §5 (a representative reading a null or NaN
-    is false; its complement is its NOT)."""
+    is false; its complement is its NOT). ``firsts`` limits the pairs to
+    those whose first tuple is in it."""
     rows = pdf.to_dict("records")
     bag: dict[int, int] = {}
     vios: dict[int, dict[int, int]] = {}
     for i, j in itertools.permutations(range(len(rows)), 2):
+        if firsts is not None and i not in firsts:
+            continue
         t, s = rows[i], rows[j]
         m = 0
         for k, p in enumerate(space.predicates):
@@ -158,6 +161,25 @@ class TestAgainstPairLoop:
         assert space.n_words >= 3
         self._check(pdf, space)
 
+    def test_values_a_narrower_type_cannot_hold(self):
+        """Columns are compared in a narrower type only where it holds every
+        value exactly: floats that differ below float32 precision and ints
+        beyond 32 bits keep their width, also across columns."""
+        pdf = pd.DataFrame({
+            "a": [1.0, 1.0 + 1e-12, 1.0, np.nan, 2.0**40],
+            "b": [2**62, 2**62 + 1, -3, 1, 1],
+            "c": [0.5, 0.25, 1.0, 0.5, np.nan],
+        })
+        self._check(pdf, build_predicate_space(pdf, min_overlap=0.0))
+
+    @pytest.mark.parametrize("dtype", ["boolean", "Int64", "Float64"])
+    def test_nullable_columns(self, dtype):
+        """pandas' nullable columns: NA follows the null rule."""
+        values = [True, False, None] if dtype == "boolean" else [0, 1, None]
+        cells = [values[x % 3] for x in (0, 1, 2, 0, 0, 1, 2, 1, 0)]
+        pdf = pd.DataFrame({"a": pd.array(cells, dtype=dtype), "b": pd.array(cells[::-1], dtype=dtype)})
+        self._check(pdf, build_predicate_space(pdf, min_overlap=0.0))
+
     @staticmethod
     def _check(pdf, space):
         ev = build_evidence_local(pdf, space, with_vios=True)
@@ -190,17 +212,19 @@ class TestTiling:
 
     @pytest.fixture
     def tiling(self, monkeypatch):
-        """Sets the tile budget and thread count; returns the pairs each
-        call to ``_keys`` evaluates, one list per call."""
+        """Sets the tile budget and thread count; returns, one entry per
+        call to ``_tile``, the first tuples of its pairs and the bag it
+        counted."""
         calls = []
-        keys = evidence._keys
+        tile = evidence._tile
 
-        def spy(cols, plan, flip, ts, ss, keep):
-            t, s = np.nonzero(keep)
-            calls.append(list(zip((t + ts.start).tolist(), (s + ss.start).tolist())))
-            return keys(cols, plan, flip, ts, ss, keep)
+        def spy(cols, codes, n, lo, hi, grid):
+            keys, counts = tile(cols, codes, n, lo, hi, grid)
+            bag = {m: c for m, c in zip(codes.masks(keys), counts.tolist()) if c}
+            calls.append((range(lo, hi), bag))
+            return keys, counts
 
-        monkeypatch.setattr(evidence, "_keys", spy)
+        monkeypatch.setattr(evidence, "_tile", spy)
 
         def set_(tile_pairs, workers):
             monkeypatch.setattr(evidence, "_TILE_PAIRS", tile_pairs)
@@ -243,11 +267,87 @@ class TestTiling:
     @pytest.mark.parametrize("tile_pairs,workers", [(1, 1), (30, 4), (1 << 16, 4)])
     @pytest.mark.parametrize("with_vios", [False, True])
     def test_each_pair_evaluated_once(self, tiling, tile_pairs, workers, with_vios):
-        """``_keys`` evaluates exactly the n(n−1) off-diagonal pairs per
-        build, each once, whether or not ``vios`` is built."""
+        """``_tile`` counts exactly the n(n−1) off-diagonal pairs per build,
+        each once, whether or not ``vios`` is built: the tiles split the
+        first tuples, and each tile's bag is the pair loop's over its first
+        tuples, so no ``t = t'`` cell is counted."""
         calls = tiling(tile_pairs, workers)
         pdf = _mixed(9)
-        build_evidence_local(pdf, build_predicate_space(pdf, min_overlap=0.0), with_vios=with_vios)
-        assert sorted(p for pairs in calls for p in pairs) == list(
-            itertools.permutations(range(9), 2)
-        )
+        space = build_predicate_space(pdf, min_overlap=0.0)
+        build_evidence_local(pdf, space, with_vios=with_vios)
+        assert sorted(i for firsts, _ in calls for i in firsts) == list(range(9))
+        for firsts, bag in calls:
+            assert bag == _pair_loop(pdf, space, firsts)[0]
+
+
+def _partial_space() -> PredicateSpace:
+    """Groups with some operators only: ``<`` alone, ``≥`` without its
+    complement, ``≠`` alone, ``<`` with ``≤`` (no ``=``), and single-tuple
+    groups, one of them complete."""
+    P = Predicate
+    return PredicateSpace([
+        P("i", Op.LT, "i"),
+        P("f", Op.GE, "g"),
+        P("s", Op.NE, "s"),
+        P("g", Op.LT, "g"), P("g", Op.LE, "g"),
+        P("i", Op.GT, "f", single_tuple=True),
+        *(P("f", op, "g", single_tuple=True) for op in Op),
+    ])
+
+
+class TestStateCodes:
+    """The kernel's code paths: ``np.bincount`` over a small code space,
+    ``np.unique`` over a large one, codes of several words, and groups
+    holding only some of their operators."""
+
+    @pytest.fixture(params=["bincount", "unique"])
+    def count_path(self, request, monkeypatch):
+        if request.param == "unique":
+            monkeypatch.setattr(evidence, "_DENSE_CODES", 0)
+        return request.param == "bincount"
+
+    @pytest.mark.parametrize("tile_pairs", [30, 1 << 16])
+    @pytest.mark.parametrize("rel", ["mixed", "partial"])
+    def test_count_paths(self, count_path, monkeypatch, tile_pairs, rel):
+        monkeypatch.setattr(evidence, "_TILE_PAIRS", tile_pairs)
+        pdf = _mixed(13)
+        space = _partial_space() if rel == "partial" else build_predicate_space(pdf, cross_column=False)
+        assert evidence._Codes.of(space).dense == count_path
+        TestAgainstPairLoop._check(pdf, space)
+
+    def test_partial_groups(self):
+        codes = evidence._Codes.of(_partial_space())
+        # states per group: none or its one representative, ..., 1 + |{=, <, >}|
+        assert [g[2] for g in codes.groups] == [2, 2, 2, 3, 2, 4]
+        assert codes.sizes == [2 * 2 * 2 * 3 * 2 * 4]
+
+    def test_complete_groups_without_nulls_skip_equality(self):
+        """``=`` is not evaluated in a full group whose columns hold no null
+        or NaN; ``f`` has NaN, so its group still is."""
+        pdf = _mixed(13)
+        space = build_predicate_space(pdf, cross_column=False)
+        known = frozenset(c for c in pdf if not pdf[c].isna().any())
+        assert known == {"i", "g"}
+        evaluated = {str(r) for r, _, _ in evidence._Codes.of(space, known).steps}
+        assert "t.i=t'.i" not in evaluated and "t.g=t'.g" not in evaluated
+        assert {"t.i<t'.i", "t.i>t'.i", "t.f=t'.f", "t.f<t'.f", "t.s=t'.s"} <= evaluated
+        TestAgainstPairLoop._check(pdf, space)
+
+    def test_code_of_several_words(self, count_path):
+        pdf = _wide()
+        space = build_predicate_space(pdf, min_overlap=0.0)
+        codes = evidence._Codes.of(space)
+        assert len(codes.groups) == 64 and len(codes.sizes) >= 2 and not codes.dense
+        assert all(size < 1 << 64 for size in codes.sizes)
+        TestAgainstPairLoop._check(pdf, space)
+
+    @pytest.mark.parametrize("with_vios", [False, True])
+    def test_single_tuple_groups_only(self, count_path, with_vios):
+        """A space of single-tuple groups: a pair's code is its first tuple's."""
+        pdf = _mixed(10)
+        space = PredicateSpace([p for p in _partial_space() if p.single_tuple])
+        ev = build_evidence_local(pdf, space, with_vios=with_vios)
+        bag, vios = _pair_loop(pdf, space)
+        assert dict(zip(ev.masks, ev.counts.tolist())) == bag
+        if with_vios:
+            assert {m: ev.vios[i] for i, m in enumerate(ev.masks)} == vios

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, ".")
 
 from jobs import (  # noqa: E402
+    evidence_scaling,
     fig6_enum_vs_searchmc,
     fig7_total_runtimes,
     fig8_functions_runtime,
@@ -104,6 +105,14 @@ class TestFigureJobs:
         assert len(out) == 2
         full = out[out["sample"] == 1.0].iloc[0]
         assert full["pct_of_full"] == 100.0
+
+    def test_evidence_scaling(self, spark):
+        out = evidence_scaling.run(spark, n=60, seed=0, repeats=1)
+        assert out["n"].tolist() == [6, 6, 24, 24, 60, 60]
+        assert (out["pairs"] == out["rows"] * (out["rows"] - 1)).all()
+        full = out[out["sample"] == 1.0]
+        assert (full["rows"] == full["n"]).all()
+        assert (out[["kernel_s", "vios_s"]] > 0).all(axis=None)
 
     def test_fig13(self, spark):
         out = fig13_threshold_validation.run(
