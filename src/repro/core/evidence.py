@@ -8,25 +8,26 @@ ADCEnum and the approximation functions operate on.
 Builders:
 
 - :func:`build_evidence_local` — the evidence kernel, over a pandas frame.
-  It encodes each column once, in the narrowest type that holds its
-  values exactly, and cuts the n×n pair grid into row-block tiles of
-  equal height, in rounds of one tile per thread. Within a group of predicates on one attribute pair (one
-  ``group_key``), ``=``, ``<`` and ``>`` exclude each other and ``≠``,
-  ``≥``, ``≤`` are their NOTs, so a pair's ``Sat`` over the group is one of
-  at most four *states*: none of the group's representatives holds (also
-  on a null or NaN), or exactly its ``j``-th one does. The groups' states
-  are packed mixed-radix into one small integer code per pair, and a
-  tile builds it with one compare per representative and one add of
-  ``j · radix`` where it holds. When the code space (the product of the
-  groups' state counts) is small, a tile is counted by ``np.bincount``
-  over all its cells, with no sort; else by ``np.unique`` over the codes,
-  split across several uint64 words (void items) when the space reaches
-  2⁶⁴. Either way the tile counts every cell and subtracts its ``t = t'``
-  cells. Tiles run on driver threads (numpy releases the GIL in these
-  loops) and are merged on the driver; each distinct code becomes its
-  predicate bitmask once, through per-group tables. This plays the role
-  of DCFinder's [37] evidence builder and FastADC's per-group clues (see
-  DESIGN.md §2).
+  It encodes each column once, in the narrowest type that holds its values
+  exactly, and cuts the n×n pair grid into row-block tiles of equal
+  height, in rounds of one tile per thread. Within a group of predicates
+  on one attribute pair (one ``group_key``), ``=``, ``<`` and ``>``
+  exclude each other and ``≠``, ``≥``, ``≤`` are their NOTs, so a pair's
+  ``Sat`` over the group is one of at most four *states*: none of the
+  group's representatives holds (also on a null or NaN), or exactly its
+  ``j``-th one does. The groups' states are packed mixed-radix into one
+  small integer code per pair, and a tile builds it with one compare per
+  representative and one add of ``j · radix`` where it holds. When the
+  code space (the product of the groups' state counts) is small, a tile is
+  counted by ``np.bincount`` over all its cells, with no sort; else by
+  ``np.unique`` over the codes, split across several uint64 words (void
+  items) when the space reaches 2⁶⁴. Either way the tile counts every cell
+  and subtracts its ``t = t'`` cells. Tiles run on driver threads (numpy
+  releases the GIL in its compare and arithmetic loops, though not in
+  ``np.bincount``) and are merged on the driver; each
+  distinct code becomes its predicate bitmask once, through per-group
+  tables. This plays the role of DCFinder's [37] evidence builder and
+  FastADC's per-group clues (see DESIGN.md §2).
 - :func:`build_evidence_spark` — the production entry for a Spark frame:
   one Arrow collect of its rows, then the kernel. The evidence is collected
   to the driver anyway, and the collect moves O(n) rows, not O(n²) pairs.
@@ -158,9 +159,11 @@ _UFUNC = {Op.EQ: np.equal, Op.LT: np.less, Op.GT: np.greater}
 def _encode(pdf: pd.DataFrame) -> dict[str, np.ndarray]:
     """The column arrays the kernel compares.
 
-    Numeric columns stay as they are; numeric extension arrays (``boolean``,
-    ``Int64``, ``Float64``, ...) are read as float64 with NaN for NA. The
-    other columns are factorized against one code table they all share, so
+    Numeric columns keep their values, in the narrowest type that holds
+    them exactly; numeric extension arrays (``boolean``, ``Int64``,
+    ``Float64``, ...) with an NA are read as float64 with NaN for NA first,
+    as pandas already does for all but ``boolean``. The other
+    columns are factorized against one code table they all share, so
     equal values get equal codes in every column and cross-column equality
     still holds; the codes keep the values' order where the values order
     among each other. In a column with a null, the null becomes NaN, which
@@ -170,7 +173,8 @@ def _encode(pdf: pd.DataFrame) -> dict[str, np.ndarray]:
     n = len(pdf)
     cols = {}
     for c, s in pdf.items():
-        if isinstance(s.dtype, pd.api.extensions.ExtensionDtype) and pd.api.types.is_numeric_dtype(s):
+        nullable = isinstance(s.dtype, pd.api.extensions.ExtensionDtype)
+        if nullable and pd.api.types.is_numeric_dtype(s) and s.hasnans:
             cols[c] = _narrow(s.to_numpy(dtype=np.float64, na_value=np.nan))
         elif is_numeric_dtype(s):
             cols[c] = _narrow(s.to_numpy())
@@ -366,7 +370,9 @@ def build_evidence_local(
     if with_vios:  # codes, or indices into a tile's codes; then global ids
         grid = np.empty((n, n), dtype=codes.dtype if codes.dense else np.min_scalar_type(n * n))
     with ThreadPoolExecutor(workers) as pool:
-        parts = list(pool.map(lambda lo: _tile(cols, codes, n, lo, min(n, lo + rows), grid), starts))
+        parts = list(pool.map(
+            lambda lo: _tile(cols, codes, n, lo, min(n, lo + rows), grid), starts
+        ))
         # merge the tiles: one global id per distinct code that some pair has
         keys, gid = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
         counts = np.bincount(gid, np.concatenate([p[1] for p in parts]), len(keys))

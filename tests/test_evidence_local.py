@@ -164,11 +164,13 @@ class TestAgainstPairLoop:
     def test_values_a_narrower_type_cannot_hold(self):
         """Columns are compared in a narrower type only where it holds every
         value exactly: floats that differ below float32 precision and ints
-        beyond 32 bits keep their width, also across columns."""
+        beyond 32 bits keep their width, also across columns and in a
+        nullable column with no NA."""
         pdf = pd.DataFrame({
             "a": [1.0, 1.0 + 1e-12, 1.0, np.nan, 2.0**40],
             "b": [2**62, 2**62 + 1, -3, 1, 1],
             "c": [0.5, 0.25, 1.0, 0.5, np.nan],
+            "d": pd.array([2**62 + 1, 2**62, 5, 5, 7], dtype="Int64"),
         })
         self._check(pdf, build_predicate_space(pdf, min_overlap=0.0))
 
