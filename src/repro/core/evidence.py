@@ -191,6 +191,43 @@ def _encode(pdf: pd.DataFrame) -> dict[str, np.ndarray]:
     return cols
 
 
+def _exact_across(cols: dict[str, np.ndarray], space: PredicateSpace) -> None:
+    """Re-code, in place, the columns that a float64 compare would misread.
+
+    numpy compares an integer column with a float column in float64, where
+    integers beyond 2⁵³ lose their low bits. So each set of columns linked
+    by the space's predicates that holds a float column and an integer
+    column with such a value is re-coded as a whole: every value becomes its
+    rank among the distinct values of the set, in Python's exact order of
+    ints and floats, and NaN stays NaN. Every compare within the set then
+    reads as on the values, and every other column is left as it is."""
+    link = {c: c for c in cols}
+
+    def root(c: str) -> str:
+        while link[c] != c:
+            c = link[c]
+        return c
+
+    for p in space.predicates:
+        if p.lhs in link and p.rhs in link:
+            link[root(p.lhs)] = root(p.rhs)
+    linked: dict[str, list[str]] = {}
+    for c in cols:
+        linked.setdefault(root(c), []).append(c)
+
+    def beyond_float(v: np.ndarray) -> bool:
+        return v.dtype.kind in "iu" and v.size > 0 and max(-int(v.min()), int(v.max())) > 1 << 53
+
+    for names in linked.values():
+        vs = [cols[c] for c in names]
+        if not (any(v.dtype.kind == "f" for v in vs) and any(map(beyond_float, vs))):
+            continue
+        values = {x: None for c in names for x in cols[c].tolist() if x == x}  # x ≠ x: NaN
+        rank = {x: float(k) for k, x in enumerate(sorted(values))}
+        for c in names:
+            cols[c] = _narrow(np.array([rank.get(x, np.nan) for x in cols[c].tolist()]))
+
+
 def _narrow(v: np.ndarray) -> np.ndarray:
     """``v`` in the narrowest type of its kind that holds every value
     exactly, so every comparison reads the same and costs less: a tile's
@@ -359,6 +396,7 @@ def build_evidence_local(
     if n < 2:
         return _finish(space, n, [], [], [] if with_vios else None)
     cols = _encode(work)
+    _exact_across(cols, space)
     codes = _Codes.of(space, frozenset(c for c, v in cols.items() if not pd.isna(v).any()))
     # one thread per core: more only contend (8 threads on 4 cores were
     # slower than 4); tiles of equal rows, in rounds of one per thread
@@ -424,7 +462,9 @@ def build_evidence_spark(
     kernel on the driver (see module doc). Tuple ids are row positions in
     the collected order. When ``space`` is a rule, the space is built from
     every collected row, so that collect is the only Spark action."""
-    pdf = df.drop(RID).toPandas()
+    # only with_rid frames carry RID; the schema read here is cached on the
+    # frame, and toPandas reuses it
+    pdf = (df.drop(RID) if RID in df.columns else df).toPandas()
     if not isinstance(space, PredicateSpace):
         space = space(pdf)
     return build_evidence_local(pdf, space, with_vios=with_vios)

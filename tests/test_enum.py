@@ -1,4 +1,5 @@
 """ADCEnum correctness (Theorem 6.1): only / all / once, vs brute force."""
+import hashlib
 import itertools
 
 import numpy as np
@@ -60,6 +61,17 @@ class CappedFracF1(FracF1):
 
 def end_reasons(stats) -> int:
     return stats.outputs + stats.non_minimal + stats.infeasible + stats.no_pivot + stats.expanded
+
+
+def order_digest(results) -> str:
+    """A digest of an ordered output list, each output as a sorted tuple."""
+    return hashlib.sha256(repr([tuple(sorted(s)) for s in results]).encode()).hexdigest()[:16]
+
+
+def food40() -> EvidenceSet:
+    """The canonical evidence of food n=40 (seed 0), with vios."""
+    pdf = DATASETS["food"](40, seed=0).pdf
+    return build_evidence_local(pdf, build_predicate_space(pdf), with_vios=True)
 
 
 def make_instance(masks, counts, n_el) -> EvidenceSet:
@@ -127,6 +139,22 @@ class TestAgainstBruteForce:
         got, stats = adc_enum(ev, CappedFracF1(), eps, choose=choose)
         assert len(got) == len(set(got)), "duplicate outputs"
         assert set(got) == brute_force(masks, counts, n_el, eps)
+        assert stats.nodes == end_reasons(stats)
+
+    @settings(max_examples=80, deadline=None)
+    @given(inst=instances(), data=st.data())
+    @pytest.mark.parametrize("choose", ["max", "min"])
+    def test_max_results_is_first_k(self, inst, data, choose):
+        """``max_results=k`` returns the first k outputs of the complete run,
+        and sets ``truncated`` iff the complete run has at least k."""
+        masks, counts, n_el, eps = inst
+        ev = make_instance(masks, counts, n_el)
+        complete, _ = adc_enum(ev, CappedFracF1(), eps, choose=choose)
+        assert set(complete) == brute_force(masks, counts, n_el, eps)
+        k = data.draw(st.integers(1, len(complete) + 1), label="k")
+        got, stats = adc_enum(ev, CappedFracF1(), eps, choose=choose, max_results=k)
+        assert got == complete[:k]
+        assert stats.truncated == (len(complete) >= k)
         assert stats.nodes == end_reasons(stats)
 
     def test_bound_prunes_a_node(self):
@@ -221,14 +249,34 @@ class TestSearchTreePinned:
         "f1": (5382, 3102, 12232, 0, 22085, 21382, 27375),
         "f2": (512, 0, 8839, 11238, 25049, 25049, 31143),
     }
+    #: the depth of the deepest node of each canonical tree (the root is at 0)
+    PINNED_MAX_DEPTH = {
+        ("f1", "max"): 8,
+        ("f1", "min"): 9,
+        ("f2", "max"): 7,
+        ("f2", "min"): 7,
+        ("f3", "max"): 7,
+        ("f3", "min"): 7,
+    }
+
+    #: a digest (``order_digest``) of the ordered output list of each
+    #: canonical tree, so a change to the DFS output order fails here
+    PINNED_ORDER = {
+        ("f1", "max"): "49ef3b3598da494c",
+        ("f1", "min"): "99a4f18dba0c0934",
+        ("f2", "max"): "41db84e03039d371",
+        ("f2", "min"): "aae3926757a84b15",
+        ("f3", "max"): "41db84e03039d371",
+        ("f3", "min"): "aae3926757a84b15",
+    }
 
     @pytest.fixture(scope="class")
     def pdf(self):
         return DATASETS["food"](40, seed=0).pdf
 
     @pytest.fixture(scope="class")
-    def canonical(self, pdf):
-        return build_evidence_local(pdf, build_predicate_space(pdf), with_vios=True)
+    def canonical(self):
+        return food40()
 
     @pytest.fixture(scope="class")
     def ev(self, pdf, canonical):
@@ -259,9 +307,11 @@ class TestSearchTreePinned:
     @pytest.mark.parametrize("choose", ["max", "min"])
     @pytest.mark.parametrize("f", [F1(), F2(), F3Greedy()], ids=["f1", "f2", "f3"])
     def test_canonical_nodes_and_f_evals(self, canonical, f, choose):
-        _, stats = adc_enum(canonical, f, 0.005, choose=choose)
+        got, stats = adc_enum(canonical, f, 0.005, choose=choose)
         assert not stats.truncated
         assert (stats.nodes, stats.f_evals) == self.PINNED_CANONICAL[(f.name, choose)]
+        assert order_digest(got) == self.PINNED_ORDER[(f.name, choose)]
+        assert stats.max_depth == self.PINNED_MAX_DEPTH[(f.name, choose)]
 
     @pytest.mark.parametrize("f", [F1(), F2()], ids=["f1", "f2"])
     def test_canonical_end_reasons(self, canonical, f):
@@ -278,15 +328,39 @@ class TestSearchTreePinned:
         (0.01, "max"): (42020, 84907),
         (0.01, "min"): (7836, 32459),
     }
+    PINNED_F1PRIME_ORDER = {
+        (0.05, "max"): "aa08604963791a0c",
+        (0.05, "min"): "a3b16713886b4273",
+        (0.01, "max"): "c6b69f9971069af0",
+        (0.01, "min"): "8496c60fccedb667",
+    }
 
     @pytest.mark.parametrize("alpha, choose", sorted(PINNED_F1PRIME))
     def test_f1prime_nodes_and_f_evals(self, canonical, alpha, choose):
-        _, stats = adc_enum(canonical, F1Prime(alpha), 0.005, choose=choose)
+        got, stats = adc_enum(canonical, F1Prime(alpha), 0.005, choose=choose)
         assert not stats.truncated
         assert (stats.nodes, stats.f_evals) == self.PINNED_F1PRIME[(alpha, choose)]
+        assert order_digest(got) == self.PINNED_F1PRIME_ORDER[(alpha, choose)]
 
 
 class TestLimits:
+    @pytest.fixture(scope="class")
+    def canonical(self):
+        return food40()
+
+    @pytest.mark.parametrize("f, choose", [(F1(), "max"), (F2(), "min")], ids=["f1-max", "f2-min"])
+    def test_first_k_of_the_complete_run(self, canonical, f, choose):
+        """``max_results=k`` returns the first k outputs of the complete run
+        in its order, and ``truncated`` is set iff the complete run has at
+        least k outputs."""
+        complete, stats = adc_enum(canonical, f, 0.005, choose=choose)
+        assert not stats.truncated
+        for k in (1, 10, 100, 1000):
+            got, st = adc_enum(canonical, f, 0.005, choose=choose, max_results=k)
+            assert got == complete[:k], k
+            assert st.truncated == (len(complete) >= k), k
+            assert st.nodes == end_reasons(st)
+
     def test_max_results_truncates(self):
         masks = [1 << i for i in range(8)]
         ev = make_instance(masks, [1] * 8, 8)

@@ -174,6 +174,14 @@ class TestAgainstPairLoop:
         })
         self._check(pdf, build_predicate_space(pdf, min_overlap=0.0))
 
+    def test_int_against_float_above_2_53(self):
+        """An int64 column against a float64 column is compared exactly:
+        2**62 + 1 is greater than 2.0**62, though float64 reads them equal."""
+        pdf = pd.DataFrame({"a": [2.0**62, 2.0**62, 1.5], "b": [2**62 + 1, 2**62, 1]})
+        space = build_predicate_space(pdf, min_overlap=0.0)
+        assert any({p.lhs, p.rhs} == {"a", "b"} for p in space.predicates)
+        self._check(pdf, space)
+
     @pytest.mark.parametrize("dtype", ["boolean", "Int64", "Float64"])
     def test_nullable_columns(self, dtype):
         """pandas' nullable columns: NA follows the null rule."""

@@ -273,10 +273,9 @@ class TestProp53Cap:
         for _ in range(10):
             size = int(rng.integers(0, 6))
             ids = sorted(rng.choice(ev.n_distinct, size=size, replace=False).tolist())
-            bits = sum(1 << i for i in ids)
             for w in (cap, cap + 1):
                 calls, evals = f.calls, algo.stats.f_evals
-                got = algo._passes(bits, w)
+                got = algo._passes(ids, w)
                 assert algo.stats.f_evals == evals + 1
                 assert got == cls().passes(ev, UncoveredView(ids, w), eps)
                 assert f.calls == calls + (w <= cap)
@@ -290,7 +289,6 @@ class TestProp53Cap:
         hs = data.draw(hitting_sets(len(space)))
         eps = data.draw(st.sampled_from([0.0, 0.01, 0.03, 0.05, 0.1, 0.3]))
         unc = uncovered_for_hs(ev, hs)
-        bits = sum(1 << i for i in unc)
         weight = sum(int(ev.counts[i]) for i in unc)
         for f in (F2(), F3Greedy()):
-            assert ADCEnum(ev, f, eps)._passes(bits, weight) == f.passes(ev, unc, eps)
+            assert ADCEnum(ev, f, eps)._passes(unc, weight) == f.passes(ev, unc, eps)
